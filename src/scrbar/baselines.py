@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
+from scipy.special import logsumexp, softmax
 
 __all__ = [
     "WeibullBaselineSet",
@@ -110,14 +111,11 @@ class BernsteinBaselineSet:
 class QuadratureRule:
     """Fixed-order quadrature settings for Bernstein cumulative hazards."""
 
-    nodes: int = 32
-    scheme: str = "gauss-legendre"
+    nodes: int = 32                     # Gauss-Legendre order
 
     def __post_init__(self):
         if self.nodes < 2:
             raise ValueError("quadrature needs at least 2 nodes")
-        if self.scheme != "gauss-legendre":
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
 
     def points(self):
         return np.polynomial.legendre.leggauss(self.nodes)
@@ -192,23 +190,37 @@ def weibull_inverse_cumhaz(x, alpha: float, tau: float):
     return val if val.ndim else float(val)
 
 
-def _bernstein_cumhaz(t, b, j, quad):
-    """Integral of exp(Bernstein log hazard) over [0, t] by Gauss-Legendre."""
-    m = b.degrees[j - 1]
-    c, u = b.supports[j - 1]
-    if c > 0:
-        raise ValueError("Bernstein cumulative hazard needs support starting at 0")
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t < 0):
-        raise ValueError("negative time in cumulative_hazard")
-    _rescale(t, c, u)  # domain check incl. upper-end slack
-    x, w = quad.points()
-    # nodes u_iq = t_i/2 * (x_q + 1), weights t_i/2 * w_q
-    nodes = 0.5 * t[:, None] * (x[None, :] + 1.0)
-    nodes = np.minimum(nodes, u)
-    B = bernstein_basis_matrix(nodes.ravel(), m, c, u)
-    lam = np.exp(B @ b.coeffs[j - 1]).reshape(nodes.shape)
-    return 0.5 * t * (lam @ w)
+class _BernsteinTable:
+    """Gauss-Legendre layout of Bernstein cumulative hazards at fixed times.
+
+    Lambda(t) = t/2 * sum_q w_q exp(B(u_q) phi) with nodes u_q = t/2 (x_q + 1).
+    With the times fixed the basis values at every node are constants, so
+    only the coefficient vector phi moves between evaluations.
+    """
+
+    def __init__(self, t, m, support, quad):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        c, u = support
+        if c > 0:
+            raise ValueError("Bernstein cumulative hazard needs support starting at 0")
+        if np.any(t < 0):
+            raise ValueError("negative time in cumulative_hazard")
+        _rescale(t, c, u)  # domain check incl. upper-end slack
+        x, w = quad.points()
+        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
+        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(
+            len(t), quad.nodes, m + 1)
+        with np.errstate(divide="ignore"):
+            self.log_half_t = np.log(0.5 * t)
+        self.log_w = np.log(w)
+
+    def log_cumhaz(self, phi):
+        return self.log_half_t + logsumexp(self.B @ phi + self.log_w, axis=1)
+
+    def dlog_cumhaz(self, phi):
+        """d log Lambda / d phi: quadrature-weight softmax of the basis."""
+        p = softmax(self.B @ phi + self.log_w, axis=1)
+        return np.einsum("iq,iqr->ir", p, self.B)
 
 
 def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
@@ -218,17 +230,16 @@ def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE
     the integral of the sieve hazard over [0, t]; requires t within the
     transition's support.
     """
-    scalar = np.ndim(t) == 0
-    if isinstance(spec, WeibullBaselineSet):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("negative time in cumulative_hazard")
-        out = spec.tau[j - 1] * t ** spec.alpha[j - 1]
-    elif isinstance(spec, BernsteinBaselineSet):
-        out = _bernstein_cumhaz(t, spec, j, quad)
-    else:
+    if isinstance(spec, BernsteinBaselineSet):
+        return np.exp(log_cumulative_hazard(t, spec, j, quad))
+    if not isinstance(spec, WeibullBaselineSet):
         raise TypeError(f"unknown baseline spec {type(spec).__name__}")
-    return float(np.atleast_1d(out)[0]) if scalar else np.asarray(out)
+    scalar = np.ndim(t) == 0
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("negative time in cumulative_hazard")
+    out = spec.tau[j - 1] * t ** spec.alpha[j - 1]
+    return float(out) if scalar else out
 
 
 def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
@@ -240,7 +251,9 @@ def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRA
             raise ValueError("negative time in log_cumulative_hazard")
         with np.errstate(divide="ignore"):
             out = spec.log_tau[j - 1] + spec.alpha[j - 1] * np.log(t_arr)
+    elif isinstance(spec, BernsteinBaselineSet):
+        table = _BernsteinTable(t_arr, spec.degrees[j - 1], spec.supports[j - 1], quad)
+        out = table.log_cumhaz(spec.coeffs[j - 1])
     else:
-        with np.errstate(divide="ignore"):
-            out = np.log(_bernstein_cumhaz(t_arr, spec, j, quad))
+        raise TypeError(f"unknown baseline spec {type(spec).__name__}")
     return float(out[0]) if scalar else out

@@ -267,7 +267,7 @@ def _replicate(config: ExperimentConfig, index: int):
         else:
             pcfg = PenaltyConfig(kind=method, lambda_grid=config.lambda_grid)
             res = gcv_select(data, nu, pcfg, config.fit.quadrature,
-                             config.fit.risk_window, config.fit.truncation)
+                             config.fit.truncation)
             beta_hat, lam = res.best.beta_hat, res.best_lambda
         eps = PenaltyConfig().zero_threshold
         tp, fp, mcv = confusion_counts(beta_hat, truth_stacked, eps)
@@ -423,28 +423,24 @@ def _write_rows_csv(path, header, rows, footer_comments=()):
             fh.write(f"# {line}\n")
 
 
-def _estimate_table(names, beta, fh):
+def _coef_table(names, beta, fh, eps=None):
+    """Coefficients by transition, one row per covariate name.
+
+    Each coefficient is labelled by its own column name; a name missing
+    from a transition's block leaves that cell blank.  With ``eps``,
+    coefficients below it print as '-' (not selected).
+    """
     fh.write(f"{'variable':<16}{TRANSITION_LABELS[0]:>14}{TRANSITION_LABELS[1]:>14}"
              f"{'Death after CR':>16}\n")
-    n1 = len(names[0])
-    width = max(len(nm) for block in names for nm in block)
-    for i in range(max(len(b) for b in names)):
+    index = [{nm: i for i, nm in enumerate(block)} for block in names]
+    for nm in dict.fromkeys(nm for block in names for nm in block):
         cells = []
         for k in range(3):
-            block = beta[k]
-            cells.append(f"{block[i]:>14.4f}" if i < len(block) else " " * 14)
-        nm = names[0][i] if i < n1 else f"z_{i + 1}"
-        fh.write(f"{nm:<16}" + cells[0] + cells[1] + cells[2].rjust(16) + "\n")
-
-
-def _selected_table(names, beta, eps, fh):
-    fh.write(f"{'variable':<16}{TRANSITION_LABELS[0]:>14}{TRANSITION_LABELS[1]:>14}"
-             f"{'Death after CR':>16}\n")
-    for i, nm in enumerate(names[0]):
-        cells = []
-        for k in range(3):
-            v = beta[k][i]
-            cells.append(f"{v:>14.4f}" if abs(v) >= eps else f"{'-':>14}")
+            if nm not in index[k]:
+                cells.append(" " * 14)
+                continue
+            v = beta[k][index[k][nm]]
+            cells.append(f"{'-':>14}" if eps is not None and abs(v) < eps else f"{v:>14.4f}")
         fh.write(f"{nm:<16}" + cells[0] + cells[1] + cells[2].rjust(16) + "\n")
 
 
@@ -475,15 +471,28 @@ def _hazard_curves(scenario, reference: FitResult, n_points=100):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _fit_config_from_args(args) -> FitConfig:
-    degrees = (2, 2, 3)
-    baseline = args.baseline
-    if args.degrees not in (None, "bic"):
+def _fit_config_from_args(args, data) -> FitConfig:
+    """The fit policy the flags ask for.  With ``--degrees bic`` the
+    Bernstein degrees are chosen by BIC and ``bic_table.csv`` is written to
+    the output directory."""
+    cfg = FitConfig(baseline=args.baseline, truncation=args.truncation)
+    if args.degrees == "bic":
+        if args.baseline != "bernstein":
+            raise SchemaError("--degrees bic requires --baseline bernstein")
+        cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
+        best, table = bic_degree_select(data, cand, cfg)
+        rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],
+                 r["converged"], "argmin" if r["degrees"] == best else "")
+                for r in table]
+        _write_rows_csv(os.path.join(args.out, "bic_table.csv"),
+                        ["degrees", "loglik", "bic", "converged", "mark"], rows)
+        return replace(cfg, degrees=best)
+    if args.degrees is not None:
         degrees = tuple(int(x) for x in args.degrees.split(","))
         if len(degrees) != 3:
             raise SchemaError("--degrees expects m1,m2,m3 or 'bic'")
-    return FitConfig(baseline=baseline, degrees=degrees,
-                     truncation=args.truncation)
+        cfg = replace(cfg, degrees=degrees)
+    return cfg
 
 
 def _load(args):
@@ -496,15 +505,8 @@ def _load(args):
 def cmd_fit(args) -> int:
     """Unpenalized fit (optionally BIC-selected Bernstein degrees)."""
     data, names = _load(args)
-    cfg = _fit_config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
-    bic_table = None
-    if args.degrees == "bic":
-        if args.baseline != "bernstein":
-            raise SchemaError("--degrees bic requires --baseline bernstein")
-        cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
-        best, bic_table = bic_degree_select(data, cand, cfg)
-        cfg = replace(cfg, degrees=best)
+    cfg = _fit_config_from_args(args, data)
     fr = fit_unpenalized(data, cfg)
 
     report = os.path.join(args.out, "fit_report.txt")
@@ -527,13 +529,7 @@ def cmd_fit(args) -> int:
                          f"  support: {spec.supports[j]}\n")
         fh.write("\nunpenalized estimates\n")
         b = fr.params.beta
-        _estimate_table(names, (b.beta1, b.beta2, b.beta3), fh)
-    if bic_table is not None:
-        rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],
-                 r["converged"], "argmin" if r["degrees"] == cfg.degrees else "")
-                for r in bic_table]
-        _write_rows_csv(os.path.join(args.out, "bic_table.csv"),
-                        ["degrees", "loglik", "bic", "converged", "mark"], rows)
+        _coef_table(names, (b.beta1, b.beta2, b.beta3), fh)
     print(f"wrote {report}")
     return 0
 
@@ -557,8 +553,8 @@ def _parse_oracle_support(text, dims):
 def cmd_select(args) -> int:
     """Penalized selection with GCV-tuned lambda (or an oracle refit)."""
     data, names = _load(args)
-    cfg = _fit_config_from_args(args)
     os.makedirs(args.out, exist_ok=True)
+    cfg = _fit_config_from_args(args, data)
     grid = default_lambda_grid(len(data), args.lambda_min, args.lambda_max,
                                args.lambda_count)
     nu = fit_unpenalized(data, cfg)
@@ -574,8 +570,7 @@ def cmd_select(args) -> int:
         chosen = np.nan
     else:
         pcfg = PenaltyConfig(kind=args.method, lambda_grid=grid)
-        res = gcv_select(data, nu, pcfg, cfg.quadrature, cfg.risk_window,
-                         cfg.truncation)
+        res = gcv_select(data, nu, pcfg, cfg.quadrature, cfg.truncation)
         beta_hat, chosen = res.best.beta_hat, res.best_lambda
         gcv_table = res.table
 
@@ -593,7 +588,7 @@ def cmd_select(args) -> int:
         blocks = tuple(beta_hat[offs[k]:offs[k + 1]] for k in range(3))
         n_sel = int(np.sum(np.abs(beta_hat) >= eps))
         fh.write(f"selected coefficients: {n_sel} of {data.p}\n\n")
-        _selected_table(names, blocks, eps, fh)
+        _coef_table(names, blocks, fh, eps)
     if gcv_table is not None:
         rows = [(r["lambda"], r["n_selected"], r["s"], r["loglik"], r["gcv"],
                  r["ok"], r["note"]) for r in gcv_table]

@@ -12,13 +12,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.optimize
-from scipy.special import logsumexp, softmax
 
 from .baselines import (
     DEFAULT_QUADRATURE,
     BernsteinBaselineSet,
     QuadratureRule,
     WeibullBaselineSet,
+    _BernsteinTable,
     bernstein_basis_matrix,
 )
 from .domain import (
@@ -27,7 +27,7 @@ from .domain import (
     NuisanceParameters,
     RegressionCoefficients,
 )
-from .likelihood import DegenerateRecordError
+from .likelihood import _Core, _Point
 
 __all__ = [
     "FitConfig",
@@ -48,15 +48,12 @@ class FitConfig:
     gtol: float = 5e-4                  # sup-norm of the gradient at the optimum
     xtol: float = 1e-12                 # relative objective-change tolerance
     init_gamma: float = 0.5
-    quadrature: QuadratureRule = DEFAULT_QUADRATURE
-    risk_window: str = "first"          # see likelihood module
-    truncation: str = "calendar"        # "calendar" | "gap"
+    quadrature: QuadratureRule = DEFAULT_QUADRATURE   # Bernstein cumulative hazards
+    truncation: str = "calendar"        # "calendar" | "gap"; see likelihood module
 
     def __post_init__(self):
         if self.baseline not in ("weibull", "bernstein"):
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
-        if self.risk_window not in ("first", "terminal"):
-            raise ValueError(f"unknown risk window {self.risk_window!r}")
         if self.truncation not in ("gap", "calendar"):
             raise ValueError(f"unknown truncation convention {self.truncation!r}")
         if self.gtol <= 0 or self.xtol <= 0:
@@ -76,8 +73,7 @@ class FitResult:
     grad_norm: float
 
 
-def bernstein_supports(data: Dataset, risk_window: str = "first",
-                       truncation: str = "calendar") -> tuple:
+def bernstein_supports(data: Dataset, truncation: str = "calendar") -> tuple:
     """Default sieve supports: [0, u_j] with u_j the largest time at which
     transition j's hazard or cumulative hazard is ever evaluated.
 
@@ -86,8 +82,7 @@ def bernstein_supports(data: Dataset, risk_window: str = "first",
     observed non-terminal event (fallback 1.0 when there are none).
     """
     arr = data.arrays()
-    t_end = arr["y1"] if risk_window == "first" else arr["y2"]
-    t12 = t_end - arr["l"] if truncation == "gap" else t_end
+    t12 = arr["y1"] - arr["l"] if truncation == "gap" else arr["y1"]
     ev1 = arr["delta1"] == 1.0
     ev2 = (arr["delta1"] == 0.0) & (arr["delta2"] == 1.0)
     u1 = max(t12.max(), arr["y1"][ev1].max() if ev1.any() else 0.0)
@@ -97,90 +92,48 @@ def bernstein_supports(data: Dataset, risk_window: str = "first",
     return ((0.0, float(u1)), (0.0, float(u2)), (0.0, max(float(u3), 1e-12)))
 
 
-class _BernsteinTable:
-    """Frozen quadrature layout for cumulative hazards at fixed times.
-
-    With the evaluation times fixed for the whole fit, the basis values at
-    all quadrature nodes are constants; only the coefficient vector moves.
-    """
-
-    def __init__(self, t, m, support, quad):
-        t = np.asarray(t, dtype=float)
-        c, u = support
-        x, w = quad.points()
-        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
-        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(
-            len(t), quad.nodes, m + 1)
-        with np.errstate(divide="ignore"):
-            self.log_half_t = np.log(0.5 * t)
-        self.log_w = np.log(w)
-
-    def log_cumhaz(self, phi):
-        a = self.B @ phi + self.log_w
-        return self.log_half_t + logsumexp(a, axis=1)
-
-    def dlog_cumhaz(self, phi):
-        """d log Lambda / d phi: quadrature-weight softmax of the basis."""
-        p = softmax(self.B @ phi + self.log_w, axis=1)
-        return np.einsum("iq,iqr->ir", p, self.B)
-
-
 class _Objective:
     """Negative log-likelihood and gradient over the packed parameter vector
-    [beta, log gamma, baseline block]."""
+    [beta, log gamma, baseline block].
+
+    The closed form and its beta and log-gamma derivatives come from the
+    likelihood core; this class adds the baseline block's log cumulative
+    hazards and event log-hazards with their derivatives.
+    """
 
     def __init__(self, data: Dataset, cfg: FitConfig):
-        arr = data.arrays()
-        self.dims = data.dims
-        self.p = sum(self.dims)
-        self.n = len(data)
+        core = self.core = _Core(data, cfg.truncation)
+        self.dims, self.p, self.n = core.dims, core.p, core.n
         self.cfg = cfg
-        self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
-        d1, d2 = arr["delta1"], arr["delta2"]
-        self.delta1, self.delta2 = d1, d2
-        self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
-        self.t_end = arr["y1"] if cfg.risk_window == "first" else arr["y2"]
-        self.l = arr["l"]
-        self.t12 = self.t_end - self.l
-        self.sojourn = np.where(d1 == 1.0, arr["y2"] - arr["y1"], 0.0)
-        bad = (self.event_weight[2] == 1.0) & (self.sojourn <= 0.0)
-        if bad.any():
-            raise DegenerateRecordError(
-                f"zero sojourn with both events observed at index {int(np.argmax(bad))}")
-        self.ev_mask = (d1 == 1.0, self.event_weight[1] == 1.0, self.event_weight[2] == 1.0)
-        self.ev_times = (arr["y1"][self.ev_mask[0]],
-                         arr["y2"][self.ev_mask[1]],
-                         self.sojourn[self.ev_mask[2]])
-        self.calendar = cfg.truncation == "calendar"
-        if self.calendar:
-            self.interval = (self.t_end, self.t_end, self.sojourn)
-        else:
-            self.interval = (self.t12, self.t12, self.sojourn)
         with np.errstate(divide="ignore"):
-            self.log_interval = tuple(np.log(t) for t in self.interval)
-            self.log_ev_times = tuple(np.log(t) for t in self.ev_times)
-
-        if cfg.baseline == "bernstein":
-            self.supports = bernstein_supports(data, cfg.risk_window, cfg.truncation)
+            self.log_interval = tuple(np.log(t) for t in core.interval)
+            self.log_ev_times = tuple(np.log(t) for t in core.ev_times)
+            self.log_entry = None if core.entry is None else np.log(core.entry)
+        if cfg.baseline == "weibull":
+            # log t where the Weibull slope term alpha * log t is finite, else 0
+            self.slope_interval = tuple(np.where(t > 0, lt, 0.0)
+                                        for t, lt in zip(core.interval, self.log_interval))
+            self.slope_entry = (None if core.entry is None
+                                else np.where(core.entry > 0, self.log_entry, 0.0))
+            self.n_base = 6
+        else:
+            self.supports = bernstein_supports(data, cfg.truncation)
             self.tables = [
-                _BernsteinTable(self.interval[j], cfg.degrees[j],
+                _BernsteinTable(core.interval[j], cfg.degrees[j],
                                 self.supports[j], cfg.quadrature)
                 for j in range(3)
             ]
-            # entry-time integrals for the calendar truncation adjustment
             self.tables_entry = [
-                _BernsteinTable(self.l, cfg.degrees[j], self.supports[j],
+                _BernsteinTable(core.entry, cfg.degrees[j], self.supports[j],
                                 cfg.quadrature)
                 for j in range(2)
-            ] if self.calendar else None
+            ] if core.entry is not None else None
             self.ev_basis = [
-                bernstein_basis_matrix(self.ev_times[j], cfg.degrees[j],
+                bernstein_basis_matrix(core.ev_times[j], cfg.degrees[j],
                                        *self.supports[j])
                 for j in range(3)
             ]
             self.n_base = sum(m + 1 for m in cfg.degrees)
-        else:
-            self.n_base = 6
         self.n_params = self.p + 1 + self.n_base
 
     # -- packing ---------------------------------------------------------
@@ -200,109 +153,73 @@ class _Objective:
         return out
 
     # -- evaluation ------------------------------------------------------
-    def _cumhaz_blocks(self, blocks):
-        """Per transition: log cumulative hazard over the exposure window
-        and its derivative in the transition's baseline parameters."""
-        weib = self.cfg.baseline == "weibull"
-        lb, dlb = [], []
-        for j in range(3):
-            calendar = self.calendar and j < 2
-            if weib:
-                la, lt = blocks[j]
-                alpha = np.exp(la)
-                if calendar:
-                    # log[L(t) - L(l)] = log L(t) + log1p(-R), R = L(l)/L(t)
-                    with np.errstate(divide="ignore"):
-                        log_l = np.where(self.l > 0, np.log(self.l), 0.0)
-                    expo = np.minimum(alpha * (log_l - self.log_interval[j]), 0.0)
-                    R = np.where(self.l > 0, np.exp(expo), 0.0)
-                    lb.append(lt + alpha * self.log_interval[j] + np.log1p(-R))
-                    dA = alpha * (self.log_interval[j] - R * log_l) / (1.0 - R)
+    # Both baselines return, per transition, log Lambda over the exposure
+    # interval, log[Lambda(l) / Lambda(t)] for the calendar adjustment (None
+    # where it does not apply) and the event log-hazard sum, plus a function
+    # of the shrink weights w and the ratios R giving the baseline block's
+    # gradient.
+    def _weibull(self, blocks):
+        alphas = [np.exp(la) for la, _ in blocks]
+        log_t, log_ratio, ev = [], [], []
+        for j, ((la, lt), alpha) in enumerate(zip(blocks, alphas)):
+            log_t.append(lt + alpha * self.log_interval[j])
+            # tau cancels: Lambda(l) / Lambda(t) = (l / t)^alpha
+            log_ratio.append(alpha * (self.log_entry - self.log_interval[j])
+                             if self.log_entry is not None and j < 2 else None)
+            ev.append(float(np.sum(la + lt + (alpha - 1.0) * self.log_ev_times[j])))
+
+        def grad(w, ratio):
+            g, dT = [], np.ones(self.n)
+            for j, alpha in enumerate(alphas):
+                R = ratio[j]
+                if R is None:
+                    dA = alpha * self.slope_interval[j]
                 else:
-                    with np.errstate(invalid="ignore"):
-                        v = lt + alpha * self.log_interval[j]
-                    lb.append(np.where(self.interval[j] > 0, v, -np.inf))
-                    dA = np.where(self.interval[j] > 0,
-                                  alpha * self.log_interval[j], 0.0)
-                dlb.append((dA, np.ones(self.n)))
-            else:
-                if calendar:
-                    lt_vals = self.tables[j].log_cumhaz(blocks[j])
-                    ll_vals = self.tables_entry[j].log_cumhaz(blocks[j])
-                    R = np.exp(np.minimum(ll_vals - lt_vals, 0.0))
-                    lb.append(lt_vals + np.log1p(-R))
-                    dphi = (self.tables[j].dlog_cumhaz(blocks[j])
-                            - R[:, None] * self.tables_entry[j].dlog_cumhaz(blocks[j])
-                            ) / (1.0 - R[:, None])
-                else:
-                    v = self.tables[j].log_cumhaz(blocks[j])
-                    lb.append(np.where(self.interval[j] > 0, v, -np.inf))
-                    dphi = self.tables[j].dlog_cumhaz(blocks[j])
-                dlb.append(dphi)
-        return lb, dlb
+                    dA = alpha * (self.log_interval[j] - R * self.slope_entry) / (1.0 - R)
+                g += [float(np.sum(1.0 + alpha * self.log_ev_times[j]) - w[:, j] @ dA),
+                      float(self.core.ev_mask[j].sum() - w[:, j] @ dT)]
+            return g
+        return log_t, log_ratio, ev, grad
+
+    def _bernstein(self, blocks):
+        log_t = [self.tables[j].log_cumhaz(phi) for j, phi in enumerate(blocks)]
+        log_ratio = [None, None, None]
+        if self.tables_entry is not None:
+            log_ratio[:2] = [self.tables_entry[j].log_cumhaz(blocks[j]) - log_t[j]
+                             for j in range(2)]
+        ev = [float(np.sum(self.ev_basis[j] @ phi)) for j, phi in enumerate(blocks)]
+
+        def grad(w, ratio):
+            g = []
+            for j, phi in enumerate(blocks):
+                d = self.tables[j].dlog_cumhaz(phi)
+                R = ratio[j]
+                if R is not None:
+                    # d log[L(t) - L(l)] = (d log L(t) - R d log L(l)) / (1 - R)
+                    d = (d - R[:, None] * self.tables_entry[j].dlog_cumhaz(phi)
+                         ) / (1.0 - R[:, None])
+                g.append(self.ev_basis[j].sum(axis=0) - w[:, j] @ d)
+            return np.concatenate(g)
+        return log_t, log_ratio, ev, grad
 
     def value_and_grad(self, theta):
         beta, log_gamma, base = self.split(theta)
-        gamma = np.exp(log_gamma)
-        blocks = self._base_blocks(base)
-        offs = np.concatenate([[0], np.cumsum(self.dims)])
-        lp = [self.Z[k] @ beta[offs[k]:offs[k + 1]] for k in range(3)]
-        lb, dlb = self._cumhaz_blocks(blocks)
-
-        loge = np.column_stack([lb[k] + lp[k] for k in range(3)])
-        logS = logsumexp(loge, axis=1)
-        L1 = np.logaddexp(0.0, log_gamma + logS)        # log(1 + gamma S)
-        c = 1.0 / gamma + self.delta1 + self.delta2
-
-        ll = -float(c @ L1)
-        ll += float(np.log1p(gamma) * self.event_weight[2].sum())
-        for k in range(3):
-            ll += float(self.event_weight[k] @ lp[k])
-            if self.cfg.baseline == "weibull":
-                la, lt = blocks[k]
-                ev_lh = la + lt + (np.exp(la) - 1.0) * self.log_ev_times[k]
-            else:
-                ev_lh = self.ev_basis[k] @ blocks[k]
-            ll += float(np.sum(ev_lh))
-
-        # gradient
-        w = c[:, None] * np.exp(log_gamma + loge - L1[:, None])   # shrink weights
-        g = np.zeros(self.n_params)
-        for k in range(3):
-            g[offs[k]:offs[k + 1]] = self.Z[k].T @ (self.event_weight[k] - w[:, k])
-
-        Q = np.exp(log_gamma + logS - L1)                         # gamma S / (1 + gamma S)
-        g[self.p] = float(np.sum(gamma * self.event_weight[2] / (1.0 + gamma)
-                                 + L1 / gamma - c * Q))
-
-        gb = np.zeros(self.n_base)
-        if self.cfg.baseline == "weibull":
-            for j, (la, lt) in enumerate(blocks):
-                alpha = np.exp(la)
-                dA, dT = dlb[j]
-                gb[2 * j] = float(np.sum(1.0 + alpha * self.log_ev_times[j])
-                                  - w[:, j] @ dA)
-                gb[2 * j + 1] = float(self.ev_mask[j].sum() - w[:, j] @ dT)
-        else:
-            off = 0
-            for j, m in enumerate(self.cfg.degrees):
-                gb[off:off + m + 1] = (self.ev_basis[j].sum(axis=0)
-                                       - w[:, j] @ dlb[j])
-                off += m + 1
-        g[self.p + 1:] = gb
-        return -ll, -g
+        baseline = self._weibull if self.cfg.baseline == "weibull" else self._bernstein
+        log_t, log_ratio, ev, base_grad = baseline(self._base_blocks(base))
+        lb, ratio = self.core.log_bases(log_t, log_ratio)
+        pt = _Point(self.core, beta, log_gamma, lb)
+        w = pt.shrink_weights()
+        g = np.concatenate([self.core.grad_beta(w), [pt.dlog_gamma()], base_grad(w, ratio)])
+        return -pt.loglik(ev), -g
 
     # -- starting point ---------------------------------------------------
     def initial_point(self):
         theta = np.zeros(self.n_params)
         theta[self.p] = np.log(self.cfg.init_gamma)
-        exposure12 = max(float(np.sum(self.t12)), 1e-12)
-        exposure3 = max(float(np.sum(self.sojourn)), 1e-12)
-        rates = [
-            max(float(self.ev_mask[0].sum()), 0.5) / exposure12,
-            max(float(self.ev_mask[1].sum()), 0.5) / exposure12,
-            max(float(self.ev_mask[2].sum()), 0.5) / exposure3,
-        ]
+        exposure12 = max(float(np.sum(self.core.gap12)), 1e-12)
+        exposure3 = max(float(np.sum(self.core.sojourn)), 1e-12)
+        rates = [max(float(self.core.ev_mask[j].sum()), 0.5) / exposure
+                 for j, exposure in enumerate((exposure12, exposure12, exposure3))]
         if self.cfg.baseline == "weibull":
             for j in range(3):
                 theta[self.p + 1 + 2 * j] = 0.0          # alpha = 1

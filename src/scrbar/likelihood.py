@@ -2,11 +2,11 @@
 
 With frailty w ~ Gamma(1/gamma, 1/gamma) (mean 1, variance gamma) shared
 across the three transition hazards, the per-subject integral over w is
-available in closed form.  Writing t* for the end of the initial-state
-risk window (see below),
+available in closed form.  Exposure to the initial-state hazards ends at
+the first observed time y1, so with
 
-    e1 = Lambda01(t* - l) exp(b1'z1)
-    e2 = Lambda02(t* - l) exp(b2'z2)
+    e1 = Lambda01(y1 - l) exp(b1'z1)
+    e2 = Lambda02(y1 - l) exp(b2'z2)
     e3 = delta1 * Lambda03(y2 - y1) exp(b3'z3)
     S  = e1 + e2 + e3
 
@@ -19,24 +19,16 @@ the marginal contribution of a subject is
 
 which follows from E[w^k exp(-wS)] = Gamma(1/gamma+k)/Gamma(1/gamma)
 * gamma^k * (1+gamma*S)^(-1/gamma-k) with k = delta1 + delta2 event
-factors.  ``frailty_integral_oracle`` integrates the conditional
+factors.  ``_Core`` holds this closed form once; ``BetaLikelihood``
+evaluates it in beta at a frozen nuisance and the unpenalized fit over
+all parameters.  ``frailty_integral_oracle`` integrates the conditional
 likelihood against the gamma density numerically and is the ground truth
-these closed forms are tested against.
+the closed form is tested against.
 
-Two cumulative-risk conventions are supported for transitions 1-2:
-
-* ``risk_window="first"`` (default): exposure ends at the first observed
-  time y1, so subjects stop accruing initial-state risk once the
-  non-terminal event occurs.  This is the proper illness-death likelihood
-  and the convention the whole pipeline uses unless told otherwise.
-* ``risk_window="terminal"``: exposure runs to y2 even after a
-  non-terminal event.  This variant systematically attenuates the
-  transition 1-2 coefficients and is kept for comparison studies only.
-
-Orthogonally, truncated intervals use the calendar adjustment
-Lambda(t*) - Lambda(l) by default (identical to the gap form when l = 0);
-``truncation="gap"`` switches to Lambda(t* - l), which treats the clock
-as restarting at study entry.
+Truncated intervals use the calendar adjustment Lambda(y1) - Lambda(l)
+by default (identical to the gap form when l = 0); ``truncation="gap"``
+switches to Lambda(y1 - l), which treats the clock as restarting at
+study entry.
 """
 
 from __future__ import annotations
@@ -107,7 +99,7 @@ def _check_beta(beta, p):
     return beta
 
 
-def _log_event_hazard(spec, j, t, quad):
+def _log_event_hazard(spec, j, t):
     """log lam0j at event times t (t > 0 assumed)."""
     if isinstance(spec, WeibullBaselineSet):
         a = spec.alpha[j - 1]
@@ -115,117 +107,144 @@ def _log_event_hazard(spec, j, t, quad):
     return np.atleast_1d(bernstein_log_hazard(t, spec, j))
 
 
+class _Core:
+    """Per-record columns of a dataset and the frailty closed form over them.
+
+    The log cumulative-hazard bases and event log-hazards are supplied by
+    the caller, so the same core serves a frozen nuisance
+    (``BetaLikelihood``) and a moving one (the unpenalized fit).
+    """
+
+    def __init__(self, data: Dataset, truncation: str):
+        if truncation not in ("gap", "calendar"):
+            raise ValueError(f"unknown truncation convention {truncation!r}")
+        arr = data.arrays()
+        self.dims = data.dims
+        self.p = sum(self.dims)
+        self.n = len(data)
+        self.offs = np.concatenate([[0], np.cumsum(self.dims)])
+        self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
+        d1, d2 = arr["delta1"], arr["delta2"]
+        y1, y2, l = arr["y1"], arr["y2"], arr["l"]
+        self.delta = (d1, d2)
+        self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
+        self.n_both = self.event_weight[2].sum()
+        self.ev_mask = tuple(w == 1.0 for w in self.event_weight)
+        self.sojourn = np.where(d1 == 1.0, y2 - y1, 0.0)
+        bad = self.ev_mask[2] & (self.sojourn <= 0.0)
+        if bad.any():
+            raise DegenerateRecordError(
+                f"zero sojourn with both events observed at index {int(np.argmax(bad))}")
+        self.ev_times = (y1[self.ev_mask[0]], y2[self.ev_mask[1]],
+                         self.sojourn[self.ev_mask[2]])
+        # exposure intervals; calendar truncation integrates transitions 1-2
+        # from 0 and subtracts the cumulative hazard at the entry time l
+        self.gap12 = y1 - l
+        self.entry = l if truncation == "calendar" else None
+        t12 = y1 if self.entry is not None else self.gap12
+        self.interval = (t12, t12, self.sojourn)
+
+    @staticmethod
+    def log_bases(log_t, log_ratio):
+        """Per-transition log bases from log Lambda_j over ``interval`` and
+        log R_j = log[Lambda_j(l) / Lambda_j(t)] (None: no entry adjustment).
+
+        log[Lambda(t) - Lambda(l)] = log Lambda(t) + log1p(-R); the ratios R
+        are returned too (None where unadjusted) for the chain rule.
+        """
+        lb, ratio = [], []
+        for lt, lr in zip(log_t, log_ratio):
+            R = None if lr is None else np.exp(np.minimum(lr, 0.0))
+            lb.append(lt if R is None else lt + np.log1p(-R))
+            ratio.append(R)
+        return lb, ratio
+
+    def grad_beta(self, w) -> np.ndarray:
+        return np.concatenate([
+            self.Z[k].T @ (self.event_weight[k] - w[:, k]) for k in range(3)
+        ])
+
+
+class _Point:
+    """The closed form at stacked coefficients ``beta`` and log frailty
+    variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
+    weights and log-gamma derivative are computed on request."""
+
+    def __init__(self, core: _Core, beta, log_gamma, lb):
+        self.core, self.log_gamma = core, log_gamma
+        self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
+        self.loge = np.column_stack([lb[k] + self.lp[k] for k in range(3)])
+        self.logS = logsumexp(self.loge, axis=1)
+        self.L1 = np.logaddexp(0.0, log_gamma + self.logS)     # log(1 + gamma S)
+        self.gamma = np.exp(log_gamma)
+        self.c = 1.0 / self.gamma + core.delta[0] + core.delta[1]
+
+    def loglik(self, ev) -> float:
+        """Log-likelihood given the per-transition event log-hazard sums."""
+        ew = self.core.event_weight
+        value = -float(self.c @ self.L1)
+        value += float(np.log1p(self.gamma) * self.core.n_both)
+        for k in range(3):
+            value += float(ew[k] @ self.lp[k])
+            value += ev[k]
+        return value
+
+    def shrink_weights(self) -> np.ndarray:
+        """w_k = c gamma e_k / (1 + gamma S), per record and transition (n x 3)."""
+        return self.c[:, None] * np.exp(self.log_gamma + self.loge - self.L1[:, None])
+
+    def dlog_gamma(self) -> float:
+        gamma, ew3 = self.gamma, self.core.event_weight[2]
+        Q = np.exp(self.log_gamma + self.logS - self.L1)       # gamma S / (1 + gamma S)
+        return float(np.sum(gamma * ew3 / (1.0 + gamma) + self.L1 / gamma - self.c * Q))
+
+
 class BetaLikelihood:
     """Log-likelihood, gradient, and Hessian in beta at fixed nuisance.
 
-    Per-record cumulative-hazard values depend only on the nuisance block,
-    so they are computed once at construction; evaluations in beta are then
+    The log cumulative-hazard bases depend only on the nuisance block, so
+    they are computed once at construction; evaluations in beta are then
     cheap vectorized closed forms.  All internals stay in log space to keep
     exp(b'z) overflow out of the picture.
     """
 
     def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE,
-                 truncation: str = "calendar", risk_window: str = "first"):
-        if truncation not in ("gap", "calendar"):
-            raise ValueError(f"unknown truncation convention {truncation!r}")
-        if risk_window not in ("first", "terminal"):
-            raise ValueError(f"unknown risk window {risk_window!r}")
-        arr = data.arrays()
-        self.dims = data.dims
-        self.p = sum(self.dims)
-        self.n = len(data)
-        self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
-        d1, d2 = arr["delta1"], arr["delta2"]
-        self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
-        gamma = nuisance.gamma
-        self.gamma = gamma
-        self.log_gamma = np.log(gamma)
-        self.c = 1.0 / gamma + d1 + d2
-
+                 truncation: str = "calendar"):
+        core = self.core = _Core(data, truncation)
+        self.dims, self.p, self.n = core.dims, core.p, core.n
+        self.log_gamma = np.log(nuisance.gamma)
         spec = nuisance.baseline
-        y1, y2, l = arr["y1"], arr["y2"], arr["l"]
-        sojourn = np.where(d1 == 1.0, y2 - y1, 0.0)
+        log_t = [log_cumulative_hazard(core.interval[j], spec, j + 1, quad)
+                 for j in range(3)]
+        log_ratio = [None, None, None]
+        if core.entry is not None:
+            log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1, quad) - log_t[j]
+                             for j in range(2)]
+        self.log_base, _ = core.log_bases(log_t, log_ratio)
+        self.ev = [float(np.sum(_log_event_hazard(spec, j + 1, core.ev_times[j])))
+                   for j in range(3)]
 
-        bad = (d1 == 1.0) & (d2 == 1.0) & (sojourn <= 0.0)
-        if bad.any():
-            raise DegenerateRecordError(
-                f"zero sojourn with both events observed at index {int(np.argmax(bad))}")
-
-        # log cumulative-hazard bases: lb[k] = log Lambda_{0,k+1}(interval)
-        t_end = y1 if risk_window == "first" else y2
-        with np.errstate(divide="ignore"):
-            if truncation == "gap":
-                lb1 = log_cumulative_hazard(t_end - l, spec, 1, quad)
-                lb2 = log_cumulative_hazard(t_end - l, spec, 2, quad)
-            else:
-                lb1 = np.log(cumulative_hazard(t_end, spec, 1, quad)
-                             - cumulative_hazard(l, spec, 1, quad))
-                lb2 = np.log(cumulative_hazard(t_end, spec, 2, quad)
-                             - cumulative_hazard(l, spec, 2, quad))
-            lb3 = np.full(self.n, -np.inf)
-            m3 = d1 == 1.0
-            if m3.any():
-                lb3[m3] = log_cumulative_hazard(sojourn[m3], spec, 3, quad)
-        self.log_base = (lb1, lb2, lb3)
-
-        # beta-free part: event log-hazards and the log(1+gamma) double-event bonus
-        const = 0.0
-        if (d1 == 1.0).any():
-            const += np.sum(_log_event_hazard(spec, 1, y1[d1 == 1.0], quad))
-        m_dd = self.event_weight[1] == 1.0
-        if m_dd.any():
-            const += np.sum(_log_event_hazard(spec, 2, y2[m_dd], quad))
-        m_bb = self.event_weight[2] == 1.0
-        if m_bb.any():
-            const += np.sum(_log_event_hazard(spec, 3, sojourn[m_bb], quad))
-            const += np.log1p(gamma) * m_bb.sum()
-        self.const = float(const)
-
-    def _split(self, beta):
-        d1, d2, _ = self.dims
-        return beta[:d1], beta[d1:d1 + d2], beta[d1 + d2:]
-
-    def _log_terms(self, beta):
-        """log e_k per record (n x 3) and log(1 + gamma * S)."""
-        parts = self._split(beta)
-        loge = np.column_stack([
-            self.log_base[k] + self.Z[k] @ parts[k] for k in range(3)
-        ])
-        logS = logsumexp(loge, axis=1)
-        log1pgS = np.logaddexp(0.0, self.log_gamma + logS)
-        return loge, log1pgS
+    def _at(self, beta) -> _Point:
+        return _Point(self.core, _check_beta(beta, self.p), self.log_gamma, self.log_base)
 
     def loglik(self, beta) -> float:
-        beta = _check_beta(beta, self.p)
-        parts = self._split(beta)
-        lin = sum(self.event_weight[k] @ (self.Z[k] @ parts[k]) for k in range(3))
-        _, log1pgS = self._log_terms(beta)
-        return self.const + float(lin - self.c @ log1pgS)
-
-    def _shrink_weights(self, beta):
-        """w_k = c * gamma * e_k / (1 + gamma S), the per-record gradient
-        weights of the survival term (n x 3)."""
-        loge, log1pgS = self._log_terms(beta)
-        return self.c[:, None] * np.exp(self.log_gamma + loge - log1pgS[:, None])
+        return self._at(beta).loglik(self.ev)
 
     def gradient(self, beta) -> np.ndarray:
-        beta = _check_beta(beta, self.p)
-        w = self._shrink_weights(beta)
-        return np.concatenate([
-            self.Z[k].T @ (self.event_weight[k] - w[:, k]) for k in range(3)
-        ])
+        return self.core.grad_beta(self._at(beta).shrink_weights())
 
     def hessian(self, beta) -> np.ndarray:
-        beta = _check_beta(beta, self.p)
-        w = self._shrink_weights(beta)
+        pt = self._at(beta)
+        w = pt.shrink_weights()
         H = np.zeros((self.p, self.p))
-        offs = np.concatenate([[0], np.cumsum(self.dims)])
+        offs = self.core.offs
+        Z = self.core.Z
         for k in range(3):
             for kp in range(k, 3):
-                a = w[:, k] * w[:, kp] / self.c
+                a = w[:, k] * w[:, kp] / pt.c
                 if kp == k:
                     a = a - w[:, k]
-                blk = self.Z[k].T @ (a[:, None] * self.Z[kp])
+                blk = Z[k].T @ (a[:, None] * Z[kp])
                 if kp == k:
                     # mirror the lower triangle so H is symmetric exactly
                     blk = np.tril(blk) + np.tril(blk, -1).T
@@ -237,13 +256,12 @@ class BetaLikelihood:
 
 def risk_terms(rec: SubjectRecord, params: ModelParameters,
                quad: QuadratureRule = DEFAULT_QUADRATURE,
-               truncation: str = "calendar", risk_window: str = "first") -> RiskTerms:
+               truncation: str = "calendar") -> RiskTerms:
     """Cumulative-risk factors g1, g2 of one subject.
 
     g1 = Lambda03(y2-y1) exp(b3'z3) when the non-terminal event was
     observed (0 otherwise); g2 sums the transition-1 and -2 cumulative
-    hazards over the truncated initial-state window, which ends at y1
-    (``risk_window="first"``) or y2 (``"terminal"``).
+    hazards over the truncated initial-state window, which ends at y1.
     """
     spec = params.nuisance.baseline
     b = params.beta
@@ -251,46 +269,45 @@ def risk_terms(rec: SubjectRecord, params: ModelParameters,
         g1 = cumulative_hazard(rec.y2 - rec.y1, spec, 3, quad) * np.exp(b.beta3 @ rec.z3)
     else:
         g1 = 0.0
-    t_end = rec.y1 if risk_window == "first" else rec.y2
     if truncation == "gap":
-        L1 = cumulative_hazard(t_end - rec.l, spec, 1, quad)
-        L2 = cumulative_hazard(t_end - rec.l, spec, 2, quad)
+        L1 = cumulative_hazard(rec.y1 - rec.l, spec, 1, quad)
+        L2 = cumulative_hazard(rec.y1 - rec.l, spec, 2, quad)
     else:
-        L1 = cumulative_hazard(t_end, spec, 1, quad) - cumulative_hazard(rec.l, spec, 1, quad)
-        L2 = cumulative_hazard(t_end, spec, 2, quad) - cumulative_hazard(rec.l, spec, 2, quad)
+        L1 = cumulative_hazard(rec.y1, spec, 1, quad) - cumulative_hazard(rec.l, spec, 1, quad)
+        L2 = cumulative_hazard(rec.y1, spec, 2, quad) - cumulative_hazard(rec.l, spec, 2, quad)
     g2 = L1 * np.exp(b.beta1 @ rec.z1) + L2 * np.exp(b.beta2 @ rec.z2)
     return RiskTerms(g1=float(g1), g2=float(g2))
 
 
 def log_likelihood(params: ModelParameters, data: Dataset,
                    quad: QuadratureRule = DEFAULT_QUADRATURE,
-                   truncation: str = "calendar", risk_window: str = "first") -> float:
+                   truncation: str = "calendar") -> float:
     """Frailty-marginalized log-likelihood of the dataset."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation, risk_window)
+    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
     return ev.loglik(params.beta.stacked)
 
 
 def gradient_beta(params: ModelParameters, data: Dataset,
                   quad: QuadratureRule = DEFAULT_QUADRATURE,
-                  truncation: str = "calendar", risk_window: str = "first") -> np.ndarray:
+                  truncation: str = "calendar") -> np.ndarray:
     """Gradient of the log-likelihood in the stacked coefficient vector,
     nuisance parameters held fixed."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation, risk_window)
+    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
     return ev.gradient(params.beta.stacked)
 
 
 def hessian_beta(params: ModelParameters, data: Dataset,
                  quad: QuadratureRule = DEFAULT_QUADRATURE,
-                 truncation: str = "calendar", risk_window: str = "first") -> np.ndarray:
+                 truncation: str = "calendar") -> np.ndarray:
     """Hessian of the log-likelihood in the stacked coefficient vector
     (symmetric; only the lower triangle is computed)."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation, risk_window)
+    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
     return ev.hessian(params.beta.stacked)
 
 
 def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
                             quad: QuadratureRule = DEFAULT_QUADRATURE,
-                            truncation: str = "calendar", risk_window: str = "first",
+                            truncation: str = "calendar",
                             rtol: float = 1e-11) -> float:
     """Marginal likelihood of one record by adaptive quadrature over the
     frailty, bypassing the closed-form gamma integral entirely.
@@ -302,22 +319,22 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
     gamma = params.nuisance.gamma
     spec = params.nuisance.baseline
     b = params.beta
-    rt = risk_terms(rec, params, quad, truncation, risk_window)
+    rt = risk_terms(rec, params, quad, truncation)
     S = rt.g1 + rt.g2
     k = rec.delta1 + rec.delta2
 
     log_a = 0.0
     if rec.delta1 == 1:
-        log_a += float(_log_event_hazard(spec, 1, np.array([rec.y1]), quad)[0])
+        log_a += float(_log_event_hazard(spec, 1, np.array([rec.y1]))[0])
         log_a += float(b.beta1 @ rec.z1)
     if rec.delta1 == 0 and rec.delta2 == 1:
-        log_a += float(_log_event_hazard(spec, 2, np.array([rec.y2]), quad)[0])
+        log_a += float(_log_event_hazard(spec, 2, np.array([rec.y2]))[0])
         log_a += float(b.beta2 @ rec.z2)
     if rec.delta1 == 1 and rec.delta2 == 1:
         soj = rec.y2 - rec.y1
         if soj <= 0:
             raise DegenerateRecordError("zero sojourn with both events observed")
-        log_a += float(_log_event_hazard(spec, 3, np.array([soj]), quad)[0])
+        log_a += float(_log_event_hazard(spec, 3, np.array([soj]))[0])
         log_a += float(b.beta3 @ rec.z3)
 
     dist = scipy.stats.gamma(a=1.0 / gamma, scale=gamma)

@@ -5,8 +5,7 @@ the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
 by the least-squares surrogate 0.5 ||W - X b||^2 built from Cholesky
 pseudo-data, and the penalized surrogate is minimized in closed form (BAR
 ridge update) or by cyclic coordinate descent with soft-thresholding
-(LASSO / adaptive LASSO).  The surrogate is refreshed at each new iterate
-by default; ``refresh="fixed"`` keeps the one built at the starting point.
+(LASSO / adaptive LASSO).  The surrogate is rebuilt at each new iterate.
 
 BAR's reweighted ridge cannot produce exact zeros on its own (the weight
 1/b^2 diverges instead), so coordinates falling below the zero threshold
@@ -49,21 +48,18 @@ def default_lambda_grid(n: int, lo: float = 1e-3, hi: float = 1e2,
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty kind, tuning grid, and iteration policy."""
+    """Penalty kind, tuning grid, and iteration limits."""
 
     kind: str = "bar"                   # "bar" | "lasso" | "alasso"
     lambda_grid: np.ndarray = None      # None -> default_lambda_grid(n)
     alasso_psi: float = 1.0
     max_iter: int = 100
     tol: float = 1e-6                   # sup-norm change between iterates
-    zero_threshold: float = 1e-6
-    refresh: str = "always"             # "always" | "fixed"
+    zero_threshold: float = 1e-6        # |b| below this is exactly 0
 
     def __post_init__(self):
         if self.kind not in ("bar", "lasso", "alasso"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.refresh not in ("always", "fixed"):
-            raise ValueError(f"unknown refresh policy {self.refresh!r}")
         if self.zero_threshold <= 0 or self.tol <= 0 or self.alasso_psi <= 0:
             raise ValueError("tolerances and exponent must be positive")
         if self.lambda_grid is not None:
@@ -155,19 +151,12 @@ def alasso_weights(beta_tilde, psi: float = 1.0) -> np.ndarray:
                       _WEIGHT_CAP)
 
 
-def _evaluator(data, nu_tilde, quad, risk_window="first", truncation="calendar"):
-    return BetaLikelihood(data, nu_tilde.params.nuisance, quad,
-                          truncation=truncation, risk_window=risk_window)
-
-
 def _bar_iterate(ev, beta_init, lam, cfg):
     beta = np.where(np.abs(beta_init) >= cfg.zero_threshold, beta_init, 0.0)
-    pseudo = None
     converged = False
     n_iter = 0
     for n_iter in range(1, cfg.max_iter + 1):
-        if pseudo is None or cfg.refresh == "always":
-            pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
         beta_new = bar_step(beta, pseudo, lam, cfg.zero_threshold)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
@@ -184,14 +173,12 @@ def _bar_iterate(ev, beta_init, lam, cfg):
 
 def _l1_iterate(ev, beta_init, lam, cfg, weights):
     beta = np.asarray(beta_init, dtype=float).copy()
-    pseudo = None
     converged = False
     n_iter = 0
     for n_iter in range(1, cfg.max_iter + 1):
-        if pseudo is None or cfg.refresh == "always":
-            pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
-            G = pseudo.X.T @ pseudo.X
-            c = pseudo.X.T @ pseudo.W
+        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        G = pseudo.X.T @ pseudo.X
+        c = pseudo.X.T @ pseudo.W
         beta_new = _coordinate_descent(G, c, beta, lam, weights)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
@@ -207,10 +194,10 @@ def _l1_iterate(ev, beta_init, lam, cfg, weights):
 
 def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
               quad: QuadratureRule = DEFAULT_QUADRATURE, beta_init=None,
-              risk_window: str = "first", truncation: str = "calendar") -> PenalizedEstimate:
+              truncation: str = "calendar") -> PenalizedEstimate:
     """Iterate BAR updates from the unpenalized estimate until the iterates
     stabilize; nuisance parameters stay fixed at ``nu_tilde``'s values."""
-    ev = _evaluator(data, nu_tilde, quad, risk_window, truncation)
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
     if beta_init is None:
         beta_init = nu_tilde.params.beta.stacked
     return _bar_iterate(ev, beta_init, lam, cfg)
@@ -218,14 +205,13 @@ def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyC
 
 def l1_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(kind="lasso"),
              weights=None, quad: QuadratureRule = DEFAULT_QUADRATURE,
-             beta_init=None, risk_window: str = "first",
-             truncation: str = "calendar") -> PenalizedEstimate:
+             beta_init=None, truncation: str = "calendar") -> PenalizedEstimate:
     """LASSO/ALASSO on the surrogate by cyclic coordinate descent.
 
     ``weights`` defaults to all ones (LASSO); pass ``alasso_weights`` of the
     unpenalized coefficients for the adaptive variant.
     """
-    ev = _evaluator(data, nu_tilde, quad, risk_window, truncation)
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
     if beta_init is None:
         beta_init = nu_tilde.params.beta.stacked
     if weights is None:
@@ -257,7 +243,7 @@ def effective_params(beta_hat, H_at_hat, lam: float, penalty: PenaltyConfig,
 
 def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
                quad: QuadratureRule = DEFAULT_QUADRATURE,
-               risk_window: str = "first", truncation: str = "calendar") -> GcvResult:
+               truncation: str = "calendar") -> GcvResult:
     """Solve along the tuning grid and return the GCV minimizer.
 
     The path is walked from small to large lambda with warm starts; each
@@ -269,7 +255,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     n = len(data)
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else default_lambda_grid(n)
     grid = np.sort(np.asarray(grid, dtype=float))
-    ev = _evaluator(data, nu_tilde, quad, risk_window, truncation)
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
     beta_tilde = nu_tilde.params.beta.stacked
     weights = None
     if cfg.kind == "alasso":

@@ -155,5 +155,3 @@ class TestCumulativeHazard:
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(nodes=1)
-    with pytest.raises(ValueError):
-        QuadratureRule(scheme="simpson")

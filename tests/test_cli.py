@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from scrbar import simulate_dataset
+from scrbar import fit_unpenalized, simulate_dataset
 from scrbar.cli import (
     SchemaError,
     main,
@@ -156,6 +156,68 @@ class TestSelectCommand:
         rc = main(["select", path, "--method", "oracle",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_select_honours_bic_degrees(self, tmp_path, monkeypatch):
+        data = small_dataset(n=80, d=3, seed=73)
+        path = tmp_path / "d.csv"
+        write_dataset_csv(path, data)
+        out = tmp_path / "out"
+        import scrbar.cli as cli_mod
+        from scrbar.estimation import bic_degree_select as real_bic
+        # narrow the candidate list for runtime
+        monkeypatch.setattr(cli_mod, "bic_degree_select",
+                            lambda d, cand, cfg: real_bic(d, [(2, 2, 3), (5, 5, 6)], cfg))
+        fitted = []
+        real_fit = cli_mod.fit_unpenalized
+        monkeypatch.setattr(cli_mod, "fit_unpenalized",
+                            lambda d, cfg: fitted.append(cfg.degrees) or real_fit(d, cfg))
+        rc = main(["select", str(path), "--baseline", "bernstein", "--degrees", "bic",
+                   "--lambda-count", "3", "--out", str(out)])
+        assert rc == 0
+        rows = list(csv.reader(open(out / "bic_table.csv")))
+        argmin = [r[0] for r in rows[1:] if r[-1] == "argmin"]
+        assert len(rows) == 3 and len(argmin) == 1
+        assert fitted == [tuple(int(m) for m in argmin[0].split(","))]
+
+
+def _report_table(path):
+    """(name, CR, Death, Death after CR) cells of a report's coefficient table."""
+    lines = path.read_text().splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("variable"))
+    return [(line[:16].strip(), line[16:30].strip(), line[30:44].strip(),
+             line[44:].strip()) for line in lines[start + 1:] if line.strip()]
+
+
+class TestUnequalBlocks:
+    def test_every_coefficient_labelled_by_its_column(self, tmp_path):
+        # block widths 4, 2, 3 in the per-transition schema
+        data = small_dataset(n=80, d=4, seed=77).restrict_covariates(
+            [0, 1, 2, 3], [0, 1], [0, 1, 2])
+        path = tmp_path / "blocks.csv"
+        write_dataset_csv(path, data, shared=False)
+        back, names = read_dataset_csv(str(path))
+        assert [len(b) for b in names] == [4, 2, 3]
+        out = tmp_path / "out"
+        assert main(["fit", str(path), "--baseline", "weibull", "--out", str(out)]) == 0
+        assert main(["select", str(path), "--baseline", "weibull",
+                     "--lambda-count", "4", "--out", str(out)]) == 0
+
+        b = fit_unpenalized(back, FitConfig(baseline="weibull")).params.beta
+        expected = [(nm, k, f"{coef:.4f}")
+                    for k, (block, coefs) in enumerate(zip(names, (b.beta1, b.beta2, b.beta3)))
+                    for nm, coef in zip(block, coefs)]
+        fit_rows = _report_table(out / "fit_report.txt")
+        assert [row[0] for row in fit_rows] == [nm for nm, _, _ in expected]
+        for row, (_, k, cell) in zip(fit_rows, expected):
+            assert row[1 + k] == cell
+            assert [c for j, c in enumerate(row[1:]) if j != k] == ["", ""]
+
+        report = (out / "selection_report.txt").read_text()
+        n_sel = int(report.split("selected coefficients:")[1].split("of")[0])
+        sel_rows = _report_table(out / "selection_report.txt")
+        assert [row[0] for row in sel_rows] == [nm for nm, _, _ in expected]
+        shown = [row[1 + k] for row, (_, k, _) in zip(sel_rows, expected)]
+        assert sum(cell != "-" for cell in shown) == n_sel
 
 
 class TestOracleFit:

@@ -58,10 +58,16 @@ class TestFitUnpenalized:
         assert fr.converged
         assert fr.grad_norm < FitConfig().gtol
 
-    def test_loglik_field_consistent(self):
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("truncation", ["gap", "calendar"])
+    def test_loglik_field_consistent(self, baseline, truncation):
+        # the fit's objective and log_likelihood share one closed form but
+        # reach the baseline through different code (packed parameters and
+        # frozen tables vs. the fitted parameter bundle)
         data = small_dataset(n=60, d=3, seed=54)
-        fr = fit_unpenalized(data, FitConfig(baseline="weibull"))
-        assert log_likelihood(fr.params, data) == pytest.approx(fr.loglik, rel=1e-10)
+        fr = fit_unpenalized(data, FitConfig(baseline=baseline, truncation=truncation))
+        ll = log_likelihood(fr.params, data, truncation=truncation)
+        assert ll == pytest.approx(fr.loglik, rel=1e-10)
 
     def test_null_signal_estimates_stay_small(self):
         # bounds calibrated on replicate runs: per-replicate max |beta_hat|
@@ -122,19 +128,6 @@ class TestFitUnpenalized:
         la = fr.params.nuisance.baseline.log_alpha
         np.testing.assert_allclose(la, [0.18, 0.2, 1.7], atol=0.6)
 
-    def test_terminal_window_attenuates_initial_state_effects(self):
-        # the variant that keeps initial-state exposure running to y2 pulls
-        # the transition 1-2 coefficients toward zero relative to the default
-        scen = scenario_diverging_p(400, censor_upper=32.0, trunc_upper=0.0, seed=3)
-        data = simulate_dataset(scen, rng=np.random.default_rng(11))
-        fr_first = fit_unpenalized(data, FitConfig(baseline="weibull"))
-        fr_term = fit_unpenalized(data, FitConfig(baseline="weibull",
-                                                  risk_window="terminal"))
-        signal = scen.beta.beta1 != 0
-        a_first = np.abs(fr_first.params.beta.beta1[signal]).mean()
-        a_term = np.abs(fr_term.params.beta.beta1[signal]).mean()
-        assert a_term < a_first
-
     def test_weibull_soft_nesting_sanity(self):
         # on Weibull-truth data the sieve's likelihood gain is overfitting
         # noise, bounded by half the sieve-coefficient count in most samples
@@ -151,13 +144,12 @@ class TestFitUnpenalized:
 
 
 class TestBernsteinSupports:
-    @pytest.mark.parametrize("window", ["first", "terminal"])
+    @pytest.mark.parametrize("window", ["first"])
     def test_supports_cover_all_evaluation_times(self, window):
         data = small_dataset(n=50, seed=57, trunc_upper=1.5)
-        sup = bernstein_supports(data, window)
+        sup = bernstein_supports(data)
         arr = data.arrays()
-        t_end = arr["y1"] if window == "first" else arr["y2"]
-        t12 = t_end - arr["l"]
+        t12 = arr["y1"] - arr["l"]
         assert sup[0][1] >= max(t12.max(), arr["y1"][arr["delta1"] == 1].max())
         assert sup[1][1] >= max(
             t12.max(),

@@ -31,14 +31,6 @@ class TestRiskTerms:
         assert rt.g1 == pytest.approx(2.0)   # Lambda3(y2-y1) = 2
         assert rt.g2 == pytest.approx(2.0)   # Lambda1(1) + Lambda2(1)
 
-    def test_unit_hazard_arithmetic_terminal_window(self):
-        # the variant that lets initial-state risk run to the terminal time
-        rec = SubjectRecord(0.0, 1.0, 1, 3.0, 1, [0.0], [0.0], [0.0])
-        params = ModelParameters(zero_beta((1, 1, 1)), unit_weibull())
-        rt = risk_terms(rec, params, risk_window="terminal")
-        assert rt.g1 == pytest.approx(2.0)
-        assert rt.g2 == pytest.approx(6.0)   # Lambda1(3) + Lambda2(3)
-
     def test_no_nonterminal_event_means_no_sojourn_risk(self):
         rec = SubjectRecord(0.0, 3.0, 0, 3.0, 0, [1.0], [1.0], [1.0])
         beta = RegressionCoefficients([0.0], [0.0], [5.0])
@@ -95,13 +87,13 @@ class TestLogLikelihood:
         assert ll == pytest.approx(ref, rel=1e-6)
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("window", ["first", "terminal"])
+    @pytest.mark.parametrize("window", ["first"])
     def test_matches_frailty_quadrature_oracle(self, baseline, window):
         data = small_dataset(n=20, seed=8)
         rng = np.random.default_rng(11)
         params = random_params(data, rng, baseline=baseline)
-        ll = log_likelihood(params, data, risk_window=window)
-        oracle = sum(np.log(frailty_integral_oracle(params, r, risk_window=window))
+        ll = log_likelihood(params, data)
+        oracle = sum(np.log(frailty_integral_oracle(params, r))
                      for r in data.records)
         assert abs(ll - oracle) / abs(ll) < 1e-8
 

@@ -137,24 +137,6 @@ class TestBarSolve:
                         beta_init=init)
         assert abs(est.beta_hat[0] - est.beta_hat[3]) < 1e-8
 
-    def test_fixed_surrogate_variant(self, fitted):
-        # ablation mode: the surrogate built at the start is never refreshed,
-        # so with lambda = 0 the iteration lands on that surrogate's own
-        # minimizer (the Newton step from the initial point)
-        data, nu = fitted
-        beta0 = nu.params.beta.stacked
-        ev = BetaLikelihood(data, nu.params.nuisance)
-        pd = pseudo_data(beta0, ev.gradient(beta0), ev.hessian(beta0))
-        newton = np.linalg.solve(pd.X.T @ pd.X, pd.X.T @ pd.W)
-        est = bar_solve(data, nu, 0.0,
-                        PenaltyConfig(refresh="fixed", tol=1e-12, max_iter=50))
-        np.testing.assert_allclose(est.beta_hat, newton, atol=1e-10)
-        assert est.converged
-
-    def test_refresh_policy_validated(self):
-        with pytest.raises(ValueError):
-            PenaltyConfig(refresh="sometimes")
-
     def test_null_duplicates_selected_or_dropped_jointly(self):
         hits = 0
         n_seeds = 50
