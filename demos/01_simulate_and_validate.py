@@ -41,7 +41,9 @@ print("\nobservation mix:")
 for name, k in sorted(counts.items()):
     print(f"  {name:<28s} {k:4d}  ({k / len(data):.1%})")
 
-censored = np.mean([1 - r.delta2 for r in data.records])
+# column statistics come straight from the stored arrays
+arr = data.arrays()
+censored = np.mean(1 - arr["delta2"])
 print(f"\nempirical terminal-event censoring: {censored:.1%}")
-sojourns = [r.sojourn for r in data.records if r.delta1 == 1]
+sojourns = (arr["y2"] - arr["y1"])[arr["delta1"] == 1]
 print(f"median sojourn after the non-terminal event: {np.median(sojourns):.2f}")

@@ -19,7 +19,7 @@ from scrbar import (
 scen = scenario_diverging_p(400, censor_upper=32.0, seed=5)
 data = simulate_dataset(scen)
 print(f"n={len(data)}, p={data.p}, censoring "
-      f"{np.mean([1 - r.delta2 for r in data.records]):.0%}")
+      f"{np.mean(1 - data.arrays()['delta2']):.0%}")
 
 fw = fit_unpenalized(data, FitConfig(baseline="weibull"))
 print(f"\nWeibull fit: loglik {fw.loglik:.2f}, converged {fw.converged} "

@@ -214,13 +214,16 @@ class _BernsteinTable:
             self.log_half_t = np.log(0.5 * t)
         self.log_w = np.log(w)
 
-    def log_cumhaz(self, phi):
-        return self.log_half_t + logsumexp(self.B @ phi + self.log_w, axis=1)
+    def scores(self, phi):
+        """log w_q + B(u_q) phi: the log quadrature terms, one row per time."""
+        return self.B @ phi + self.log_w
 
-    def dlog_cumhaz(self, phi):
+    def log_cumhaz(self, scores):
+        return self.log_half_t + logsumexp(scores, axis=1)
+
+    def dlog_cumhaz(self, scores):
         """d log Lambda / d phi: quadrature-weight softmax of the basis."""
-        p = softmax(self.B @ phi + self.log_w, axis=1)
-        return np.einsum("iq,iqr->ir", p, self.B)
+        return np.einsum("iq,iqr->ir", softmax(scores, axis=1), self.B)
 
 
 def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
@@ -253,7 +256,7 @@ def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRA
             out = spec.log_tau[j - 1] + spec.alpha[j - 1] * np.log(t_arr)
     elif isinstance(spec, BernsteinBaselineSet):
         table = _BernsteinTable(t_arr, spec.degrees[j - 1], spec.supports[j - 1], quad)
-        out = table.log_cumhaz(spec.coeffs[j - 1])
+        out = table.log_cumhaz(table.scores(spec.coeffs[j - 1]))
     else:
         raise TypeError(f"unknown baseline spec {type(spec).__name__}")
     return float(out[0]) if scalar else out

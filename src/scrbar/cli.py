@@ -37,7 +37,7 @@ from .datagen import (
     scenario_grouped,
     simulate_dataset,
 )
-from .domain import Dataset, SubjectRecord, validate_dataset
+from .domain import Dataset, validate_dataset
 from .estimation import FitConfig, FitResult, bic_degree_select, fit_unpenalized
 from .metrics import ReplicateMetrics, aggregate, confusion_counts, ges, mse
 from .selection import (
@@ -113,8 +113,10 @@ def read_dataset_csv(path):
             raise SchemaError(
                 f"{path}: first five columns must be {', '.join(_META_COLS)}")
         names1, names2, names3, shared = _block_names(header)
+        # the shared schema's z_* columns are read once and used for all blocks
+        cov_cols = names1 if shared else names1 + names2 + names3
         idx = {name: i for i, name in enumerate(header)}
-        rows = []
+        meta, cov = [], []
         for rownum, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -133,15 +135,13 @@ def read_dataset_csv(path):
             for col in ("delta1", "delta2"):
                 if get(col) not in (0.0, 1.0):
                     raise SchemaError(f"{path}: row {rownum}, column {col!r}: must be 0 or 1")
-            rows.append(SubjectRecord(
-                l=get("l"), y1=get("y1"), delta1=int(get("delta1")),
-                y2=get("y2"), delta2=int(get("delta2")),
-                z1=[get(c) for c in names1],
-                z2=[get(c) for c in names2],
-                z3=[get(c) for c in names3]))
-    if not rows:
+            meta.append((get("l"), get("y1"), int(get("delta1")), get("y2"), int(get("delta2"))))
+            cov.append([get(c) for c in cov_cols])
+    if not meta:
         raise SchemaError(f"{path}: no data rows")
-    data = Dataset(rows)
+    Z = np.array(cov)
+    blocks = (Z, Z, Z) if shared else np.split(Z, np.cumsum([len(names1), len(names2)]), axis=1)
+    data = Dataset.from_arrays(*np.array(meta, dtype=float).T, *blocks)
     problems = validate_dataset(data)
     if problems:
         raise SchemaError(f"{path}: invalid records: " + "; ".join(problems[:5]))
@@ -154,22 +154,18 @@ def write_dataset_csv(path, data: Dataset, shared: bool = True):
     ``shared=True`` uses the z_* shorthand when all three blocks are
     identical per record; otherwise the per-transition block schema.
     """
-    d1, d2, d3 = data.dims
-    shared = shared and d1 == d2 == d3 and all(
-        np.array_equal(r.z1, r.z2) and np.array_equal(r.z1, r.z3)
-        for r in data.records)
-    if shared:
-        header = list(_META_COLS) + [f"z_{i + 1}" for i in range(d1)]
-    else:
-        header = list(_META_COLS) + [f"z1_{i + 1}" for i in range(d1)] \
-            + [f"z2_{i + 1}" for i in range(d2)] + [f"z3_{i + 1}" for i in range(d3)]
+    shared = shared and np.array_equal(data.Z1, data.Z2) and np.array_equal(data.Z1, data.Z3)
+    blocks = [("z", data.dims[0])] if shared else list(zip(("z1", "z2", "z3"), data.dims))
+    header = list(_META_COLS) + [f"{b}_{i + 1}" for b, d in blocks for i in range(d)]
+    Z = data.Z1 if shared else np.hstack([data.Z1, data.Z2, data.Z3])
+    # tolist() gives Python floats, whose repr is the shortest round-trip text
+    rows = zip(data.l.tolist(), data.y1.tolist(), data.delta1.astype(int).tolist(),
+               data.y2.tolist(), data.delta2.astype(int).tolist(), Z.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for r in data.records:
-            row = [repr(r.l), repr(r.y1), r.delta1, repr(r.y2), r.delta2]
-            zs = list(r.z1) if shared else list(r.z1) + list(r.z2) + list(r.z3)
-            w.writerow(row + [repr(float(z)) for z in zs])
+        for l, y1, delta1, y2, delta2, z in rows:
+            w.writerow([repr(l), repr(y1), delta1, repr(y2), delta2] + [repr(v) for v in z])
 
 
 def standardize_covariates(data: Dataset) -> Dataset:
@@ -185,8 +181,7 @@ def standardize_covariates(data: Dataset) -> Dataset:
         sd = Z.std(axis=0, ddof=1)
         sd[sd == 0.0] = 1.0
         Zs.append((Z - Z.mean(axis=0)) / sd)
-    return Dataset.from_arrays(arr["l"], arr["y1"], arr["delta1"].astype(int),
-                               arr["y2"], arr["delta2"].astype(int), *Zs)
+    return Dataset.from_arrays(*(arr[k] for k in _META_COLS), *Zs)
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +196,9 @@ def oracle_fit(data: Dataset, support_per_transition, cfg: FitConfig):
     fr = fit_unpenalized(reduced, cfg)
     beta = np.zeros(data.p)
     offs = np.concatenate([[0], np.cumsum(data.dims)])
-    fitted = (fr.params.beta.beta1, fr.params.beta.beta2, fr.params.beta.beta3)
-    for k in range(3):
-        beta[offs[k] + keeps[k]] = fitted[k]
+    b = fr.params.beta
+    for k, fitted in enumerate((b.beta1, b.beta2, b.beta3)):
+        beta[offs[k] + keeps[k]] = fitted
     return beta, fr
 
 
@@ -252,10 +247,8 @@ def _replicate(config: ExperimentConfig, index: int):
     data = simulate_dataset(config.scenario, rng=plan.rng(index))
     arr = data.arrays()
     sigmas = [np.cov(arr[k], rowvar=False, ddof=1) for k in ("Z1", "Z2", "Z3")]
-    truth = config.scenario.beta
-    truth_stacked = truth.stacked
-    dims = data.dims
-    offs = np.concatenate([[0], np.cumsum(dims)])
+    truth_stacked = config.scenario.beta.stacked
+    offs = np.concatenate([[0], np.cumsum(data.dims)])
     nu = fit_unpenalized(data, config.fit)
     grouped = config.scenario.design == "grouped"
 
@@ -423,6 +416,10 @@ def _write_rows_csv(path, header, rows, footer_comments=()):
             fh.write(f"# {line}\n")
 
 
+def _convergence_line(fr: FitResult) -> str:
+    return f"converged: {fr.converged}  iterations: {fr.n_iter}  grad_norm: {fr.grad_norm:.3g}\n"
+
+
 def _coef_table(names, beta, fh, eps=None):
     """Coefficients by transition, one row per covariate name.
 
@@ -496,17 +493,17 @@ def _fit_config_from_args(args, data) -> FitConfig:
 
 
 def _load(args):
+    """Data, column names and fit policy of a ``fit`` or ``select`` call."""
     data, names = read_dataset_csv(args.csv)
     if getattr(args, "standardize", False):
         data = standardize_covariates(data)
-    return data, names
+    os.makedirs(args.out, exist_ok=True)
+    return data, names, _fit_config_from_args(args, data)
 
 
 def cmd_fit(args) -> int:
     """Unpenalized fit (optionally BIC-selected Bernstein degrees)."""
-    data, names = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    cfg = _fit_config_from_args(args, data)
+    data, names, cfg = _load(args)
     fr = fit_unpenalized(data, cfg)
 
     report = os.path.join(args.out, "fit_report.txt")
@@ -516,8 +513,7 @@ def cmd_fit(args) -> int:
             fh.write(f"degrees: {cfg.degrees}\n")
         fh.write(f"n: {len(data)}  p: {data.p}\n")
         fh.write(f"log-likelihood: {fr.loglik:.6f}\n")
-        fh.write(f"converged: {fr.converged}  iterations: {fr.n_iter}  "
-                 f"grad_norm: {fr.grad_norm:.3g}\n")
+        fh.write(_convergence_line(fr))
         fh.write(f"frailty variance: {fr.params.nuisance.gamma:.6f}\n")
         spec = fr.params.nuisance.baseline
         if isinstance(spec, WeibullBaselineSet):
@@ -552,16 +548,13 @@ def _parse_oracle_support(text, dims):
 
 def cmd_select(args) -> int:
     """Penalized selection with GCV-tuned lambda (or an oracle refit)."""
-    data, names = _load(args)
-    os.makedirs(args.out, exist_ok=True)
-    cfg = _fit_config_from_args(args, data)
+    data, names, cfg = _load(args)
     grid = default_lambda_grid(len(data), args.lambda_min, args.lambda_max,
                                args.lambda_count)
     nu = fit_unpenalized(data, cfg)
     offs = np.concatenate([[0], np.cumsum(data.dims)])
     eps = PenaltyConfig().zero_threshold
 
-    gcv_table = None
     if args.method == "oracle":
         if not args.oracle_support:
             raise SchemaError("method 'oracle' requires --oracle-support")
@@ -572,13 +565,17 @@ def cmd_select(args) -> int:
         pcfg = PenaltyConfig(kind=args.method, lambda_grid=grid)
         res = gcv_select(data, nu, pcfg, cfg.quadrature, cfg.truncation)
         beta_hat, chosen = res.best.beta_hat, res.best_lambda
-        gcv_table = res.table
+        header = ["lambda", "n_selected", "s", "loglik", "gcv", "ok", "note",
+                  "converged", "n_iter"]
+        _write_rows_csv(os.path.join(args.out, "gcv_table.csv"), header,
+                        [[r[k] for k in header] for r in res.table])
 
     report = os.path.join(args.out, "selection_report.txt")
     with open(report, "w", encoding="utf-8") as fh:
         fh.write(f"method: {args.method}  baseline: {cfg.baseline}\n")
         if args.standardize:
             fh.write("covariates standardized; estimates on the standardized scale\n")
+        fh.write(_convergence_line(nu))
         if args.method != "oracle":
             fh.write(f"lambda grid: [{grid.min():.4g}, {grid.max():.4g}] "
                      f"({grid.size} points)\n")
@@ -589,12 +586,6 @@ def cmd_select(args) -> int:
         n_sel = int(np.sum(np.abs(beta_hat) >= eps))
         fh.write(f"selected coefficients: {n_sel} of {data.p}\n\n")
         _coef_table(names, blocks, fh, eps)
-    if gcv_table is not None:
-        rows = [(r["lambda"], r["n_selected"], r["s"], r["loglik"], r["gcv"],
-                 r["ok"], r["note"]) for r in gcv_table]
-        _write_rows_csv(os.path.join(args.out, "gcv_table.csv"),
-                        ["lambda", "n_selected", "s", "loglik", "gcv", "ok", "note"],
-                        rows)
     print(f"wrote {report}")
     return 0
 

@@ -179,15 +179,8 @@ def _draw_latent(scenario, z1, z2, z3, rng):
     return t1, t1 + t3
 
 
-def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
-                     rng: np.random.Generator) -> SubjectRecord:
-    """Draw one accepted subject for fixed covariates.
-
-    Event times, censoring, and truncation are redrawn until the subject is
-    observable (L < Y1); covariates stay fixed.  Truncation disabled
-    (trunc_upper = 0) means entry at time zero with no rejection.
-    """
-    z1, z2, z3 = (np.asarray(z, dtype=float) for z in (z1, z2, z3))
+def _draw_subject(scenario, z1, z2, z3, rng):
+    """(l, y1, delta1, y2, delta2) of one accepted subject; see simulate_subject."""
     for _ in range(_MAX_DRAWS_PER_SUBJECT):
         t1, t2 = _draw_latent(scenario, z1, z2, z3, rng)
         c = rng.uniform(0.0, scenario.censor_upper)
@@ -196,13 +189,24 @@ def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
         y2 = min(t2, c)
         delta2 = int(t2 <= c)
         if scenario.trunc_upper <= 0.0:
-            return SubjectRecord(0.0, y1, delta1, y2, delta2, z1, z2, z3)
+            return 0.0, y1, delta1, y2, delta2
         l = rng.uniform(0.0, scenario.trunc_upper)
         if l < y1:
-            return SubjectRecord(l, y1, delta1, y2, delta2, z1, z2, z3)
+            return l, y1, delta1, y2, delta2
     raise ScenarioError(
         f"subject acceptance below {100.0 / _MAX_DRAWS_PER_SUBJECT:.2f}% "
         f"(trunc_upper={scenario.trunc_upper})")
+
+
+def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
+                     rng: np.random.Generator) -> SubjectRecord:
+    """Draw one accepted subject for fixed covariates.
+
+    Event times, censoring, and truncation are redrawn until the subject is
+    observable (L < Y1); covariates stay fixed.  Truncation disabled
+    (trunc_upper = 0) means entry at time zero with no rejection.
+    """
+    return SubjectRecord(*_draw_subject(scenario, z1, z2, z3, rng), z1, z2, z3)
 
 
 def _covariates(scenario, rng):
@@ -220,15 +224,14 @@ def simulate_dataset(scenario: SimulationScenario,
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     Z = _covariates(scenario, rng)
-    records = [simulate_subject(scenario, Z[i], Z[i], Z[i], rng)
-               for i in range(scenario.n)]
-    return Dataset(records)
+    rows = [_draw_subject(scenario, z, z, z, rng) for z in Z]
+    return Dataset.from_arrays(*np.array(rows).T, Z, Z, Z)
 
 
 def _censoring_rate(scenario, censor_upper, seed, n_probe):
     probe = replace(scenario, n=n_probe, censor_upper=float(censor_upper), seed=seed)
     data = simulate_dataset(probe, rng=np.random.default_rng(seed))
-    return 1.0 - np.mean([r.delta2 for r in data.records])
+    return 1.0 - np.mean(data.delta2)
 
 
 def calibrate_censoring(scenario: SimulationScenario, target: float,
@@ -271,5 +274,5 @@ def calibrate_truncation(scenario: SimulationScenario, rng: np.random.Generator,
     observed time in an untruncated probe sample."""
     probe = replace(scenario, n=n_probe, trunc_upper=0.0)
     data = simulate_dataset(probe, rng=rng)
-    med = float(np.median([r.y1 for r in data.records]))
+    med = float(np.median(data.y1))
     return fraction * med

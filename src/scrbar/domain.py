@@ -3,8 +3,10 @@
 A subject in the illness-death layout carries a left-truncation time ``l``,
 a first-transition time ``y1`` with indicator ``delta1`` (non-terminal
 event), a terminal/censoring time ``y2`` with indicator ``delta2``, and one
-covariate vector per transition.  All types are immutable after
-construction and safe to share across workers.
+covariate vector per transition.  ``Dataset`` stores them as columns, which
+the numeric modules read directly; ``SubjectRecord`` is one subject as a row.
+All types are immutable after construction and safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -35,8 +37,13 @@ class ObservationScenario(enum.Enum):
     NONE_OBSERVED = "none_observed"
 
 
+_COLUMNS = ("l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")
+_RECORD_FIELDS = ("l", "y1", "delta1", "y2", "delta2", "z1", "z2", "z3")
+
+
 def _readonly(x) -> np.ndarray:
-    a = np.array(x, dtype=float)
+    # C order: matrix products then sum in the same order whatever the source
+    a = np.array(x, dtype=float, order="C")
     a.flags.writeable = False
     return a
 
@@ -56,14 +63,9 @@ class SubjectRecord:
     z3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "l", float(self.l))
-        object.__setattr__(self, "y1", float(self.y1))
-        object.__setattr__(self, "y2", float(self.y2))
-        object.__setattr__(self, "delta1", int(self.delta1))
-        object.__setattr__(self, "delta2", int(self.delta2))
-        object.__setattr__(self, "z1", _readonly(self.z1))
-        object.__setattr__(self, "z2", _readonly(self.z2))
-        object.__setattr__(self, "z3", _readonly(self.z3))
+        casts = (float, float, int, float, int, _readonly, _readonly, _readonly)
+        for name, cast in zip(_RECORD_FIELDS, casts):
+            object.__setattr__(self, name, cast(getattr(self, name)))
 
     @property
     def sojourn(self) -> float:
@@ -71,71 +73,77 @@ class SubjectRecord:
         return self.y2 - self.y1 if self.delta1 == 1 else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """A nonempty collection of records with common covariate dimensions."""
+    """A nonempty set of subjects stored as eight read-only float columns:
+    n-vectors l, y1, delta1, y2, delta2 and n x d_k matrices Z1, Z2, Z3.
 
-    records: tuple
-    dims: tuple
+    Build one from columns with ``from_arrays`` or by stacking
+    ``SubjectRecord``s with ``Dataset(records)``; ``records`` gives the rows.
+    """
 
-    def __init__(self, records, dims=None):
+    l: np.ndarray
+    y1: np.ndarray
+    delta1: np.ndarray
+    y2: np.ndarray
+    delta2: np.ndarray
+    Z1: np.ndarray
+    Z2: np.ndarray
+    Z3: np.ndarray
+
+    def __init__(self, records):
         records = tuple(records)
-        if not records:
-            raise ValueError("Dataset requires at least one record")
-        if dims is None:
-            r = records[0]
-            dims = (len(r.z1), len(r.z2), len(r.z3))
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+        dims = [(len(r.z1), len(r.z2), len(r.z3)) for r in records]
+        for i, d in enumerate(dims):
+            if d != dims[0]:
+                raise ValueError(f"covariate length mismatch at index {i}")
+        self._store(*([getattr(r, f) for r in records] for f in _RECORD_FIELDS))
+
+    def _store(self, l, y1, delta1, y2, delta2, Z1, Z2, Z3):
+        cols = [_readonly(c) for c in (l, y1, delta1, y2, delta2)]
+        cols += [_readonly(np.atleast_2d(Z)) for Z in (Z1, Z2, Z3)]
+        n = len(cols[0])
+        if n == 0 or any(c.ndim != 1 for c in cols[:5]) or any(len(c) != n for c in cols):
+            raise ValueError("Dataset requires at least one record and one row per record")
+        for name, col in zip(_COLUMNS, cols):
+            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.l)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self.l)
+
+    @property
+    def dims(self) -> tuple:
+        return (self.Z1.shape[1], self.Z2.shape[1], self.Z3.shape[1])
 
     @property
     def p(self) -> int:
         return sum(self.dims)
 
-    def arrays(self) -> dict:
-        """Column-stacked view used by the numeric modules.
+    @property
+    def records(self) -> tuple:
+        """The subjects as ``SubjectRecord`` rows, built on each access."""
+        return tuple(SubjectRecord(*row) for row in zip(*(getattr(self, c) for c in _COLUMNS)))
 
-        Returns a dict with keys l, y1, delta1, y2, delta2 (1-d arrays of
-        length n) and Z1, Z2, Z3 (n x d_k matrices).
-        """
-        recs = self.records
-        return {
-            "l": np.array([r.l for r in recs]),
-            "y1": np.array([r.y1 for r in recs]),
-            "delta1": np.array([r.delta1 for r in recs], dtype=float),
-            "y2": np.array([r.y2 for r in recs]),
-            "delta2": np.array([r.delta2 for r in recs], dtype=float),
-            "Z1": np.array([r.z1 for r in recs]),
-            "Z2": np.array([r.z2 for r in recs]),
-            "Z3": np.array([r.z3 for r in recs]),
-        }
+    def arrays(self) -> dict:
+        """The stored columns by name, without copying."""
+        return {name: getattr(self, name) for name in _COLUMNS}
 
     @staticmethod
     def from_arrays(l, y1, delta1, y2, delta2, Z1, Z2, Z3) -> "Dataset":
-        Z1, Z2, Z3 = np.atleast_2d(Z1), np.atleast_2d(Z2), np.atleast_2d(Z3)
-        records = [
-            SubjectRecord(l[i], y1[i], delta1[i], y2[i], delta2[i],
-                          Z1[i], Z2[i], Z3[i])
-            for i in range(len(l))
-        ]
-        return Dataset(records)
+        """Dataset holding read-only float copies of the given columns."""
+        data = object.__new__(Dataset)
+        data._store(l, y1, delta1, y2, delta2, Z1, Z2, Z3)
+        return data
 
     def restrict_covariates(self, keep1, keep2, keep3) -> "Dataset":
         """New dataset keeping only the given covariate columns per transition."""
         keep1, keep2, keep3 = (np.asarray(k, dtype=int) for k in (keep1, keep2, keep3))
-        records = [
-            SubjectRecord(r.l, r.y1, r.delta1, r.y2, r.delta2,
-                          r.z1[keep1], r.z2[keep2], r.z3[keep3])
-            for r in self.records
-        ]
-        return Dataset(records)
+        return Dataset.from_arrays(self.l, self.y1, self.delta1, self.y2, self.delta2,
+                                   self.Z1[:, keep1], self.Z2[:, keep2], self.Z3[:, keep3])
 
 
 @dataclass(frozen=True)
@@ -148,9 +156,8 @@ class RegressionCoefficients:
     beta3: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "beta1", _readonly(self.beta1))
-        object.__setattr__(self, "beta2", _readonly(self.beta2))
-        object.__setattr__(self, "beta3", _readonly(self.beta3))
+        for name in ("beta1", "beta2", "beta3"):
+            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def dims(self) -> tuple:
@@ -209,35 +216,29 @@ def classify_scenario(rec: SubjectRecord) -> ObservationScenario:
 
 
 def validate_dataset(data: Dataset, include_warnings: bool = False) -> list:
-    """Check every record against the structural invariants.
+    """Check every subject against the structural invariants.
 
     Returns a list of human-readable violation strings, empty iff the
     dataset is well formed.  Never raises.  With ``include_warnings``,
     additionally flags zero-sojourn records (delta1 = 1, y1 = y2), which
     are legal but contribute a degenerate likelihood term when delta2 = 1.
     """
+    l, y1, y2, d1, d2 = data.l, data.y1, data.y2, data.delta1, data.delta2
+    finite = np.isfinite(l) & np.isfinite(y1) & np.isfinite(y2)
+    # per subject in report order; subjects with a non-finite time skip them
+    checks = [
+        ("negative time", (l < 0) | (y1 < 0) | (y2 < 0)),
+        ("l < y1 failed", ~(l < y1)),
+        ("non-binary indicator", ~(np.isin(d1, (0.0, 1.0)) & np.isin(d2, (0.0, 1.0)))),
+        ("δ1=0 requires y1=y2", (d1 == 0) & (y1 != y2)),
+        ("δ1=1 requires y1 ≤ y2", (d1 == 1) & (y1 > y2)),
+        ("non-finite covariate",
+         ~np.isfinite(np.hstack([data.Z1, data.Z2, data.Z3])).all(axis=1)),
+    ]
+    if include_warnings:
+        checks.append(("warning: zero sojourn (δ1=1, y1=y2)", (d1 == 1) & (y1 == y2)))
     findings = []
-    d1, d2, d3 = data.dims
-    for i, r in enumerate(data.records):
-        times = (r.l, r.y1, r.y2)
-        if not all(np.isfinite(t) for t in times):
-            findings.append(f"non-finite time at index {i}")
-            continue
-        if r.l < 0 or r.y1 < 0 or r.y2 < 0:
-            findings.append(f"negative time at index {i}")
-        if not r.l < r.y1:
-            findings.append(f"l < y1 failed at index {i}")
-        if r.delta1 not in (0, 1) or r.delta2 not in (0, 1):
-            findings.append(f"non-binary indicator at index {i}")
-        if r.delta1 == 0 and r.y1 != r.y2:
-            findings.append(f"δ1=0 requires y1=y2 at index {i}")
-        if r.delta1 == 1 and r.y1 > r.y2:
-            findings.append(f"δ1=1 requires y1 ≤ y2 at index {i}")
-        if (len(r.z1), len(r.z2), len(r.z3)) != (d1, d2, d3):
-            findings.append(f"covariate length mismatch at index {i}")
-        elif not (np.isfinite(r.z1).all() and np.isfinite(r.z2).all()
-                  and np.isfinite(r.z3).all()):
-            findings.append(f"non-finite covariate at index {i}")
-        if include_warnings and r.delta1 == 1 and r.y1 == r.y2:
-            findings.append(f"warning: zero sojourn (δ1=1, y1=y2) at index {i}")
+    for i in np.flatnonzero(~finite | np.any([mask for _, mask in checks], axis=0)):
+        findings += ([f"{what} at index {i}" for what, mask in checks if mask[i]]
+                     if finite[i] else [f"non-finite time at index {i}"])
     return findings

@@ -182,21 +182,24 @@ class _Objective:
         return log_t, log_ratio, ev, grad
 
     def _bernstein(self, blocks):
-        log_t = [self.tables[j].log_cumhaz(phi) for j, phi in enumerate(blocks)]
-        log_ratio = [None, None, None]
+        # each table's quadrature scores feed both log Lambda and its derivative
+        scores = [t.scores(phi) for t, phi in zip(self.tables, blocks)]
+        log_t = [t.log_cumhaz(sc) for t, sc in zip(self.tables, scores)]
+        log_ratio, scores_entry = [None, None, None], None
         if self.tables_entry is not None:
-            log_ratio[:2] = [self.tables_entry[j].log_cumhaz(blocks[j]) - log_t[j]
-                             for j in range(2)]
+            scores_entry = [t.scores(phi) for t, phi in zip(self.tables_entry, blocks)]
+            log_ratio[:2] = [t.log_cumhaz(sc) - lt
+                             for t, sc, lt in zip(self.tables_entry, scores_entry, log_t)]
         ev = [float(np.sum(self.ev_basis[j] @ phi)) for j, phi in enumerate(blocks)]
 
         def grad(w, ratio):
             g = []
-            for j, phi in enumerate(blocks):
-                d = self.tables[j].dlog_cumhaz(phi)
+            for j in range(3):
+                d = self.tables[j].dlog_cumhaz(scores[j])
                 R = ratio[j]
                 if R is not None:
                     # d log[L(t) - L(l)] = (d log L(t) - R d log L(l)) / (1 - R)
-                    d = (d - R[:, None] * self.tables_entry[j].dlog_cumhaz(phi)
+                    d = (d - R[:, None] * self.tables_entry[j].dlog_cumhaz(scores_entry[j])
                          ) / (1.0 - R[:, None])
                 g.append(self.ev_basis[j].sum(axis=0) - w[:, j] @ d)
             return np.concatenate(g)
@@ -278,12 +281,9 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
                  "gtol": cfg.gtol / 10.0, "maxls": 60, "maxcor": 20})
     _, grad = obj.value_and_grad(res.x)
     # projected gradient: components pushing against an active bound don't count
-    pg = grad.copy()
-    for j, (lo, hi) in enumerate(bounds):
-        if res.x[j] <= lo + 1e-12:
-            pg[j] = min(pg[j], 0.0)
-        elif res.x[j] >= hi - 1e-12:
-            pg[j] = max(pg[j], 0.0)
+    lo, hi = np.array(bounds).T
+    pg = np.where(res.x <= lo + 1e-12, np.minimum(grad, 0.0),
+                  np.where(res.x >= hi - 1e-12, np.maximum(grad, 0.0), grad))
     grad_norm = float(np.max(np.abs(pg)))
     return FitResult(
         params=obj.build_params(res.x),

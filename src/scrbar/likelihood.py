@@ -119,13 +119,10 @@ class _Core:
         if truncation not in ("gap", "calendar"):
             raise ValueError(f"unknown truncation convention {truncation!r}")
         arr = data.arrays()
-        self.dims = data.dims
-        self.p = sum(self.dims)
-        self.n = len(data)
+        self.dims, self.p, self.n = data.dims, data.p, len(data)
         self.offs = np.concatenate([[0], np.cumsum(self.dims)])
         self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
-        d1, d2 = arr["delta1"], arr["delta2"]
-        y1, y2, l = arr["y1"], arr["y2"], arr["l"]
+        l, y1, d1, y2, d2 = (arr[k] for k in ("l", "y1", "delta1", "y2", "delta2"))
         self.delta = (d1, d2)
         self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
         self.n_both = self.event_weight[2].sum()
@@ -138,9 +135,10 @@ class _Core:
         self.ev_times = (y1[self.ev_mask[0]], y2[self.ev_mask[1]],
                          self.sojourn[self.ev_mask[2]])
         # exposure intervals; calendar truncation integrates transitions 1-2
-        # from 0 and subtracts the cumulative hazard at the entry time l
+        # from 0 and subtracts the cumulative hazard at the entry time l,
+        # which is exactly zero when no subject is truncated
         self.gap12 = y1 - l
-        self.entry = l if truncation == "calendar" else None
+        self.entry = l if truncation == "calendar" and l.any() else None
         t12 = y1 if self.entry is not None else self.gap12
         self.interval = (t12, t12, self.sojourn)
 

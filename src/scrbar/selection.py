@@ -250,7 +250,8 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     solution is scored by GCV = -loglik / (n [1 - s/n]^2) with the
     effective-parameter count s evaluated at the penalized estimate.
     Grid points where s >= n or the solve fails are excluded (noted in the
-    table); ties prefer the larger, sparser lambda.
+    table); ties prefer the larger, sparser lambda.  Each table row also
+    carries the solve's ``converged`` flag and ``n_iter`` (nan when it failed).
     """
     n = len(data)
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else default_lambda_grid(n)
@@ -268,7 +269,8 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     beta_start = beta_tilde
     for lam in grid:
         row = {"lambda": float(lam), "n_selected": 0, "s": np.nan,
-               "loglik": np.nan, "gcv": np.nan, "ok": False, "note": ""}
+               "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",
+               "converged": np.nan, "n_iter": np.nan}
         try:
             if cfg.kind == "bar":
                 est = _bar_iterate(ev, beta_start, lam, cfg)
@@ -280,6 +282,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
             row["n_selected"] = int(est.support.size)
             row["s"] = s
             row["loglik"] = ll
+            row.update(converged=est.converged, n_iter=est.n_iter)
             if s >= n:
                 row["note"] = "s >= n, excluded"
             else:

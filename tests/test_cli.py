@@ -2,11 +2,15 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from scrbar import fit_unpenalized, simulate_dataset
+from scrbar import Dataset, fit_unpenalized, simulate_dataset
 from scrbar.cli import (
     SchemaError,
     main,
@@ -72,6 +76,44 @@ class TestCsvIo:
         np.testing.assert_allclose(Z.std(axis=0, ddof=1), 1.0, rtol=1e-12)
 
 
+@st.composite
+def valid_datasets(draw, shared, truncated):
+    """Small well-formed datasets with arbitrary finite covariates."""
+    n = draw(st.integers(1, 6))
+    widths = st.integers(1, 3)
+    dims = (draw(widths),) * 3 if shared else tuple(draw(widths) for _ in range(3))
+    rows = []
+    for _ in range(n):
+        l = draw(st.floats(0.0, 1e6)) if truncated else 0.0
+        y1 = draw(st.floats(min_value=l, max_value=2e6, exclude_min=True))
+        d1, d2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        y2 = draw(st.floats(min_value=y1, max_value=3e6)) if d1 else y1
+        rows.append((l, y1, d1, y2, d2))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    Z = [draw(arrays(float, (n, d), elements=finite)) for d in dims]
+    if shared:
+        Z = [Z[0]] * 3
+    return Dataset.from_arrays(*np.array(rows, dtype=float).T, *Z)
+
+
+class TestCsvRoundTripFuzz:
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("truncated", [True, False])
+    @settings(max_examples=40, deadline=None)
+    @given(draw=st.data())
+    def test_every_column_read_back_exactly(self, shared, truncated, draw):
+        data = draw.draw(valid_datasets(shared, truncated))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "d.csv")
+            write_dataset_csv(path, data, shared=shared)
+            back, names = read_dataset_csv(path)
+        assert (names[0] == names[1] == names[2]) is shared
+        got = back.arrays()
+        for key, col in data.arrays().items():
+            assert got[key].dtype == col.dtype and got[key].shape == col.shape, key
+            assert got[key].tobytes() == col.tobytes(), key
+
+
 class TestFitCommand:
     def test_toy_fit_writes_report(self, toy_csv, tmp_path):
         path, _ = toy_csv
@@ -121,9 +163,14 @@ def sim_csv(tmp_path_factory):
 
 
 class TestSelectCommand:
-    def test_bar_report_support_consistent(self, sim_csv, tmp_path):
+    def test_bar_report_support_consistent(self, sim_csv, tmp_path, monkeypatch):
         path, data, truth = sim_csv
         out = tmp_path / "sel"
+        import scrbar.cli as cli_mod
+        results = []
+        real_gcv = cli_mod.gcv_select
+        monkeypatch.setattr(cli_mod, "gcv_select",
+                            lambda *a: results.append(real_gcv(*a)) or results[-1])
         rc = main(["select", path, "--method", "bar", "--baseline", "weibull",
                    "--lambda-count", "12", "--out", str(out)])
         assert rc == 0
@@ -133,6 +180,25 @@ class TestSelectCommand:
         chosen = float(report.split("chosen lambda:")[1].splitlines()[0])
         match = [r for r in gcv_rows if abs(float(r["lambda"]) - chosen) < 1e-9]
         assert match and int(match[0]["n_selected"]) == n_sel
+        # every scored lambda reports its own solve's convergence and iterations
+        (res,) = results
+        scored = [r for r in gcv_rows if r["ok"] == "True"]
+        assert len(scored) == len(res.path) > 0
+        for row, est in zip(scored, res.path):
+            assert row["converged"] == str(est.converged)
+            assert int(row["n_iter"]) == est.n_iter
+
+    def test_select_reports_fit_convergence(self, sim_csv, tmp_path):
+        path, _, _ = sim_csv
+        out = tmp_path / "conv"
+        rc = main(["select", path, "--method", "lasso", "--baseline", "weibull",
+                   "--lambda-count", "2", "--out", str(out)])
+        assert rc == 0
+        fr = fit_unpenalized(read_dataset_csv(path)[0], FitConfig(baseline="weibull"))
+        lines = (out / "selection_report.txt").read_text().splitlines()
+        header = lines[:next(i for i, s in enumerate(lines) if s.startswith("variable"))]
+        assert (f"converged: {fr.converged}  iterations: {fr.n_iter}  "
+                f"grad_norm: {fr.grad_norm:.3g}") in header
 
     def test_single_lambda_notes_degenerate_tuning(self, sim_csv, tmp_path):
         path, _, _ = sim_csv

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrbar import (
@@ -41,8 +41,8 @@ class TestValidate:
 
     def test_covariate_length_mismatch(self):
         bad = SubjectRecord(0.0, 1.0, 1, 2.0, 1, np.zeros(3), np.zeros(2), np.zeros(2))
-        data = Dataset([rec(), bad])
-        assert any("mismatch at index 1" in f for f in validate_dataset(data))
+        with pytest.raises(ValueError, match="mismatch at index 1"):
+            Dataset([rec(), bad])
 
     def test_nonfinite_covariate(self):
         bad = SubjectRecord(0.0, 1.0, 0, 1.0, 0, [np.nan, 0.0], np.zeros(2), np.zeros(2))
@@ -58,6 +58,47 @@ class TestValidate:
     def test_never_raises(self):
         data = Dataset([rec(l=-1.0, y1=np.inf, d1=2, y2=-3.0, d2=0)])
         assert validate_dataset(data)  # findings, no exception
+
+
+def _validate_by_loop(data, include_warnings):
+    """Record-by-record statement of the invariants ``validate_dataset`` checks."""
+    findings = []
+    for i, r in enumerate(data.records):
+        if not all(np.isfinite(t) for t in (r.l, r.y1, r.y2)):
+            findings.append(f"non-finite time at index {i}")
+            continue
+        if r.l < 0 or r.y1 < 0 or r.y2 < 0:
+            findings.append(f"negative time at index {i}")
+        if not r.l < r.y1:
+            findings.append(f"l < y1 failed at index {i}")
+        if r.delta1 not in (0, 1) or r.delta2 not in (0, 1):
+            findings.append(f"non-binary indicator at index {i}")
+        if r.delta1 == 0 and r.y1 != r.y2:
+            findings.append(f"δ1=0 requires y1=y2 at index {i}")
+        if r.delta1 == 1 and r.y1 > r.y2:
+            findings.append(f"δ1=1 requires y1 ≤ y2 at index {i}")
+        if not all(np.isfinite(z).all() for z in (r.z1, r.z2, r.z3)):
+            findings.append(f"non-finite covariate at index {i}")
+        if include_warnings and r.delta1 == 1 and r.y1 == r.y2:
+            findings.append(f"warning: zero sojourn (δ1=1, y1=y2) at index {i}")
+    return findings
+
+
+class TestValidateColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(draw=st.data())
+    def test_matches_record_by_record_reference(self, draw):
+        n = draw.draw(st.integers(1, 5))
+        times = st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, np.nan, np.inf]),
+                          st.floats(-1.0, 3.0))
+        cols = [draw.draw(st.lists(times if k in (0, 1, 3) else st.integers(0, 2),
+                                   min_size=n, max_size=n)) for k in range(5)]
+        cov = st.one_of(st.sampled_from([np.nan, -np.inf]), st.floats(-2.0, 2.0))
+        Z = [draw.draw(st.lists(st.lists(cov, min_size=d, max_size=d), min_size=n, max_size=n))
+             for d in (1, 2, 1)]
+        data = Dataset.from_arrays(*cols, *Z)
+        for warn in (False, True):
+            assert validate_dataset(data, warn) == _validate_by_loop(data, warn)
 
 
 class TestClassify:
@@ -100,6 +141,15 @@ class TestTypes:
     def test_sojourn(self):
         assert rec(y1=1.0, y2=3.5, d1=1).sojourn == 2.5
         assert rec(y1=3.0, y2=3.0, d1=0).sojourn == 0.0
+
+    def test_columns_stored_once_read_only_in_c_order(self):
+        data = small_dataset(n=6, d=4).restrict_covariates([0, 2], [1], [0, 1, 3])
+        arr = data.arrays()
+        for name, col in arr.items():
+            assert col is getattr(data, name) and col is data.arrays()[name]
+            assert col.flags.c_contiguous and not col.flags.writeable
+        with pytest.raises(ValueError):
+            arr["y1"][0] = 1.0
 
     def test_restrict_covariates(self):
         data = small_dataset(n=5, d=4)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrbar import (
     Dataset,
@@ -105,7 +107,7 @@ class TestLogLikelihood:
         for scen in ObservationScenario:
             recs = [r for r in data.records if classify_scenario(r) is scen]
             if recs:
-                parts += log_likelihood(params, Dataset(recs, data.dims))
+                parts += log_likelihood(params, Dataset(recs))
         assert total == pytest.approx(parts, rel=1e-12)
 
     def test_degenerate_record_rejected_with_index(self):
@@ -158,7 +160,7 @@ class TestDerivatives:
         data = small_dataset(n=10, seed=6)
         params = random_params(data, np.random.default_rng(7))
         g1 = gradient_beta(params, data)
-        doubled = Dataset(list(data.records) * 2, data.dims)
+        doubled = Dataset(list(data.records) * 2)
         np.testing.assert_allclose(gradient_beta(params, doubled), 2.0 * g1,
                                    rtol=1e-12)
 
@@ -281,3 +283,23 @@ class TestTruncationConvention:
         oracle = sum(np.log(frailty_integral_oracle(params, r, truncation="calendar"))
                      for r in data.records)
         assert abs(ll - oracle) / abs(ll) < 1e-8
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), perm=st.permutations(range(25)))
+    def test_permuting_rows_leaves_derivatives_unchanged(self, baseline, truncation,
+                                                        seed, perm):
+        data = small_dataset(n=25, seed=seed)
+        params = random_params(data, np.random.default_rng(seed), baseline=baseline)
+        arr = data.arrays()
+        shuffled = Dataset.from_arrays(*(arr[k][list(perm)] for k in (
+            "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
+        assert log_likelihood(params, shuffled, truncation=truncation) == pytest.approx(
+            log_likelihood(params, data, truncation=truncation), rel=1e-12)
+        for f in (gradient_beta, hessian_beta):
+            want = f(params, data, truncation=truncation)
+            np.testing.assert_allclose(f(params, shuffled, truncation=truncation), want,
+                                       rtol=1e-12, atol=1e-12 * np.abs(want).max())
