@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-from scipy.special import logsumexp, softmax
 
 __all__ = [
     "WeibullBaselineSet",
@@ -190,6 +189,37 @@ def weibull_inverse_cumhaz(x, alpha: float, tau: float):
     return val if val.ndim else float(val)
 
 
+def _row_shift(a):
+    """Row maxima of a 2-d array and exp(a - max): the step that the
+    row-wise log-sum-exp and softmax below share."""
+    mx = a.max(axis=1, keepdims=True)
+    with np.errstate(invalid="ignore"):         # rows that are all -inf
+        return mx, np.exp(a - mx)
+
+
+def _row_logsumexp(a, shift=None):
+    """log sum_q exp(a[i, q]) per row, from ``_row_shift(a)`` when given.
+
+    Follows the arithmetic of ``scipy.special.logsumexp(a, axis=1)``
+    (SciPy 1.17) step for step, so the two agree bit for bit: the m entries
+    equal to the row maximum are left out of the sum s of the shifted
+    exponentials, s is divided by m, and the result is
+    log1p(s) + log(m) + max.
+    """
+    mx, e = _row_shift(a) if shift is None else shift
+    hit = a == mx
+    m = hit.sum(axis=1, dtype=float)
+    s = np.where(hit, 0.0, e).sum(axis=1)
+    s = np.where(s != 0.0, s / m, s)
+    return np.log1p(s) + np.log(m) + mx[:, 0]
+
+
+def _row_softmax(e):
+    """Row-wise softmax from the shifted exponentials of ``_row_shift``:
+    scipy.special.softmax's formula."""
+    return e / e.sum(axis=1, keepdims=True)
+
+
 class _BernsteinTable:
     """Gauss-Legendre layout of Bernstein cumulative hazards at fixed times.
 
@@ -215,15 +245,18 @@ class _BernsteinTable:
         self.log_w = np.log(w)
 
     def scores(self, phi):
-        """log w_q + B(u_q) phi: the log quadrature terms, one row per time."""
-        return self.B @ phi + self.log_w
+        """log w_q + B(u_q) phi: the log quadrature terms, one row per time,
+        with their ``_row_shift``, which log Lambda and its derivative share."""
+        a = self.B @ phi + self.log_w
+        return a, _row_shift(a)
 
     def log_cumhaz(self, scores):
-        return self.log_half_t + logsumexp(scores, axis=1)
+        return self.log_half_t + _row_logsumexp(*scores)
 
     def dlog_cumhaz(self, scores):
         """d log Lambda / d phi: quadrature-weight softmax of the basis."""
-        return np.einsum("iq,iqr->ir", softmax(scores, axis=1), self.B)
+        _, (_, e) = scores
+        return np.einsum("iq,iqr->ir", _row_softmax(e), self.B)
 
 
 def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):

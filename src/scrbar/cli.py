@@ -314,7 +314,8 @@ def run_study(config: ExperimentConfig) -> StudyResult:
                 "replicate": i, "method": m, "tp": r.tp, "fp": r.fp,
                 "mcv": r.mcv, "mse": r.mse, "ges": r.ges,
                 "lambda": metrics[m + "/lambda"],
-                "n_selected": int(r.selected.sum())})
+                "n_selected": int(r.selected.sum()),
+                "fit_converged": nu.converged, "fit_iterations": nu.n_iter})
             per_method[m].append(r)
     aggregates = {m: aggregate(lst) for m, lst in per_method.items() if lst}
     return StudyResult(rows=rows, aggregates=aggregates,
@@ -566,7 +567,7 @@ def cmd_select(args) -> int:
         res = gcv_select(data, nu, pcfg, cfg.quadrature, cfg.truncation)
         beta_hat, chosen = res.best.beta_hat, res.best_lambda
         header = ["lambda", "n_selected", "s", "loglik", "gcv", "ok", "note",
-                  "converged", "n_iter"]
+                  "converged", "n_iter", "jitter"]
         _write_rows_csv(os.path.join(args.out, "gcv_table.csv"), header,
                         [[r[k] for k in header] for r in res.table])
 
@@ -604,12 +605,10 @@ def cmd_simulate(args) -> int:
     footer = [f"failed replicates: {n_failed} of {config.replications}"]
     footer += [f"replicate {i}: {msg}" for i, msg in result.failures]
 
-    rep_rows = [(r["replicate"], r["method"], r["tp"], r["fp"], r["mcv"],
-                 r["mse"], r["ges"], r["lambda"], r["n_selected"])
-                for r in result.rows]
-    _write_rows_csv(os.path.join(config.out_dir, "replicates.csv"),
-                    ["replicate", "method", "tp", "fp", "mcv", "mse", "ges",
-                     "lambda", "n_selected"], rep_rows)
+    rep_header = ["replicate", "method", "tp", "fp", "mcv", "mse", "ges",
+                  "lambda", "n_selected", "fit_converged", "fit_iterations"]
+    _write_rows_csv(os.path.join(config.out_dir, "replicates.csv"), rep_header,
+                    [[r[k] for k in rep_header] for r in result.rows])
 
     agg_rows = []
     for m in config.methods:

@@ -39,12 +39,12 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 import scipy.stats
-from scipy.special import logsumexp
 
 from .baselines import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
     WeibullBaselineSet,
+    _row_logsumexp,
     bernstein_log_hazard,
     cumulative_hazard,
     log_cumulative_hazard,
@@ -166,13 +166,15 @@ class _Core:
 class _Point:
     """The closed form at stacked coefficients ``beta`` and log frailty
     variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
-    weights and log-gamma derivative are computed on request."""
+    weights and log-gamma derivative are computed on request, the shrink
+    weights once."""
 
     def __init__(self, core: _Core, beta, log_gamma, lb):
         self.core, self.log_gamma = core, log_gamma
+        self._w = None
         self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
         self.loge = np.column_stack([lb[k] + self.lp[k] for k in range(3)])
-        self.logS = logsumexp(self.loge, axis=1)
+        self.logS = _row_logsumexp(self.loge)
         self.L1 = np.logaddexp(0.0, log_gamma + self.logS)     # log(1 + gamma S)
         self.gamma = np.exp(log_gamma)
         self.c = 1.0 / self.gamma + core.delta[0] + core.delta[1]
@@ -189,7 +191,9 @@ class _Point:
 
     def shrink_weights(self) -> np.ndarray:
         """w_k = c gamma e_k / (1 + gamma S), per record and transition (n x 3)."""
-        return self.c[:, None] * np.exp(self.log_gamma + self.loge - self.L1[:, None])
+        if self._w is None:
+            self._w = self.c[:, None] * np.exp(self.log_gamma + self.loge - self.L1[:, None])
+        return self._w
 
     def dlog_gamma(self) -> float:
         gamma, ew3 = self.gamma, self.core.event_weight[2]
@@ -203,7 +207,8 @@ class BetaLikelihood:
     The log cumulative-hazard bases depend only on the nuisance block, so
     they are computed once at construction; evaluations in beta are then
     cheap vectorized closed forms.  All internals stay in log space to keep
-    exp(b'z) overflow out of the picture.
+    exp(b'z) overflow out of the picture.  The closed form at the last beta
+    is kept, so a gradient and a Hessian at the same beta build it once.
     """
 
     def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE,
@@ -221,9 +226,17 @@ class BetaLikelihood:
         self.log_base, _ = core.log_bases(log_t, log_ratio)
         self.ev = [float(np.sum(_log_event_hazard(spec, j + 1, core.ev_times[j])))
                    for j in range(3)]
+        self._key = self._point = None
 
     def _at(self, beta) -> _Point:
-        return _Point(self.core, _check_beta(beta, self.p), self.log_gamma, self.log_base)
+        beta = _check_beta(beta, self.p)
+        # keyed on a byte copy of beta, so a caller mutating its array in
+        # place cannot get a stale point
+        key = beta.tobytes()
+        if key != self._key:
+            self._key, self._point = key, _Point(self.core, beta, self.log_gamma,
+                                                 self.log_base)
+        return self._point
 
     def loglik(self, beta) -> float:
         return self._at(beta).loglik(self.ev)

@@ -71,7 +71,9 @@ class PenaltyConfig:
 
 @dataclass(frozen=True)
 class PenalizedEstimate:
-    """One penalized solution: exact zeros off the support."""
+    """One penalized solution: exact zeros off the support.  ``jitter`` is
+    the largest diagonal jitter ``pseudo_data`` added over the solve's
+    surrogate refreshes (0 when every -H was positive definite)."""
 
     beta_hat: np.ndarray
     support: np.ndarray
@@ -79,6 +81,7 @@ class PenalizedEstimate:
     n_iter: int
     objective: float
     converged: bool
+    jitter: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -110,39 +113,42 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float,
     return out
 
 
-def _soft(x, thr):
-    return np.sign(x) * max(abs(x) - thr, 0.0)
-
-
 def _coordinate_descent(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """Cyclic soft-threshold minimization of 0.5 b'Gb - c'b + lam sum w|b|."""
-    b = np.asarray(b0, dtype=float).copy()
-    r = c - G @ b
-    diag = np.diag(G)
+    """Cyclic soft-threshold minimization of 0.5 b'Gb - c'b + lam sum w|b|.
+
+    The coordinates are updated on Python floats, which round exactly as
+    numpy scalars do; only the residual update r -= G[:, j] * step is a
+    vector operation.
+    """
+    b0 = np.asarray(b0, dtype=float)
+    b = b0.tolist()
+    r = c - G @ b0
+    r_at = r.item
+    cols = list(G.T)                    # cols[j] is the column G[:, j]
+    diag = np.diag(G).tolist()
+    thr = (lam * np.asarray(weights, dtype=float)).tolist()
     for _ in range(sweeps):
         delta = 0.0
-        for j in range(len(b)):
-            old = b[j]
-            bj = _soft(r[j] + diag[j] * old, lam * weights[j]) / diag[j]
+        for j, old in enumerate(b):
+            x = r_at(j) + diag[j] * old
+            a = abs(x) - thr[j]
+            bj = ((a if x > 0.0 else -a) if a > 0.0 else 0.0) / diag[j]
             if bj != old:
-                r -= G[:, j] * (bj - old)
+                r -= cols[j] * (bj - old)
                 b[j] = bj
                 delta = max(delta, abs(bj - old))
         if delta < tol:
             break
-    return b
+    return np.array(b)
 
 
 def l1_kkt_residual(G, c, b, lam, weights) -> float:
     """Largest violated subgradient condition of the L1 surrogate problem."""
     grad = G @ b - c
-    res = 0.0
-    for j in range(len(b)):
-        if b[j] != 0.0:
-            res = max(res, abs(grad[j] + lam * weights[j] * np.sign(b[j])))
-        else:
-            res = max(res, max(abs(grad[j]) - lam * weights[j], 0.0))
-    return float(res)
+    thr = lam * np.asarray(weights, dtype=float)
+    res = np.where(b != 0.0, np.abs(grad + thr * np.sign(b)),
+                   np.maximum(np.abs(grad) - thr, 0.0))
+    return float(np.max(res, initial=0.0))
 
 
 def alasso_weights(beta_tilde, psi: float = 1.0) -> np.ndarray:
@@ -155,8 +161,10 @@ def _bar_iterate(ev, beta_init, lam, cfg):
     beta = np.where(np.abs(beta_init) >= cfg.zero_threshold, beta_init, 0.0)
     converged = False
     n_iter = 0
+    jitter = 0.0
     for n_iter in range(1, cfg.max_iter + 1):
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        jitter = max(jitter, pseudo.jitter)
         beta_new = bar_step(beta, pseudo, lam, cfg.zero_threshold)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
@@ -168,15 +176,18 @@ def _bar_iterate(ev, beta_init, lam, cfg):
     # at the fixed point the adaptive ridge penalty equals lam * support size
     objective = -ev.loglik(beta) + lam * support.size
     return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
-                             n_iter=n_iter, objective=objective, converged=converged)
+                             n_iter=n_iter, objective=objective, converged=converged,
+                             jitter=jitter)
 
 
 def _l1_iterate(ev, beta_init, lam, cfg, weights):
     beta = np.asarray(beta_init, dtype=float).copy()
     converged = False
     n_iter = 0
+    jitter = 0.0
     for n_iter in range(1, cfg.max_iter + 1):
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        jitter = max(jitter, pseudo.jitter)
         G = pseudo.X.T @ pseudo.X
         c = pseudo.X.T @ pseudo.W
         beta_new = _coordinate_descent(G, c, beta, lam, weights)
@@ -189,7 +200,8 @@ def _l1_iterate(ev, beta_init, lam, cfg, weights):
     beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
     objective = -ev.loglik(beta) + lam * float(weights @ np.abs(beta))
     return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
-                             n_iter=n_iter, objective=objective, converged=converged)
+                             n_iter=n_iter, objective=objective, converged=converged,
+                             jitter=jitter)
 
 
 def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
@@ -251,7 +263,8 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     effective-parameter count s evaluated at the penalized estimate.
     Grid points where s >= n or the solve fails are excluded (noted in the
     table); ties prefer the larger, sparser lambda.  Each table row also
-    carries the solve's ``converged`` flag and ``n_iter`` (nan when it failed).
+    carries the solve's ``converged`` flag, ``n_iter`` and ``jitter`` (nan
+    when it failed).
     """
     n = len(data)
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else default_lambda_grid(n)
@@ -270,7 +283,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     for lam in grid:
         row = {"lambda": float(lam), "n_selected": 0, "s": np.nan,
                "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",
-               "converged": np.nan, "n_iter": np.nan}
+               "converged": np.nan, "n_iter": np.nan, "jitter": np.nan}
         try:
             if cfg.kind == "bar":
                 est = _bar_iterate(ev, beta_start, lam, cfg)
@@ -282,7 +295,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
             row["n_selected"] = int(est.support.size)
             row["s"] = s
             row["loglik"] = ll
-            row.update(converged=est.converged, n_iter=est.n_iter)
+            row.update(converged=est.converged, n_iter=est.n_iter, jitter=est.jitter)
             if s >= n:
                 row["note"] = "s >= n, excluded"
             else:

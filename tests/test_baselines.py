@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scrbar import (
     BernsteinBaselineSet,
@@ -13,6 +15,7 @@ from scrbar import (
     weibull_hazard,
     weibull_inverse_cumhaz,
 )
+from scrbar.baselines import _row_logsumexp, _row_shift, _row_softmax
 
 
 def flat_bernstein(value=0.0, degrees=(2, 2, 3), u=10.0):
@@ -155,3 +158,30 @@ class TestCumulativeHazard:
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(nodes=1)
+
+
+# a few repeated values make ties for the row maximum, -inf makes rows with
+# zero-weight entries (and rows with nothing but them)
+_SCORE = st.one_of(st.sampled_from([-np.inf, -np.inf, 0.0, 1.5, -3.25]),
+                   st.floats(-700.0, 700.0))
+# (n, 3) like the frailty closed form's terms, (n, 32) like a quadrature table
+_ROWS = st.sampled_from([3, 32]).flatmap(
+    lambda q: arrays(float, st.tuples(st.integers(1, 30), st.just(q)), elements=_SCORE))
+
+
+class TestRowKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(a=_ROWS)
+    def test_logsumexp_matches_scipy_bitwise(self, a):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = scipy.special.logsumexp(a, axis=1)
+        assert np.array_equal(_row_logsumexp(a), want)
+        assert np.array_equal(_row_logsumexp(a, _row_shift(a)), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=_ROWS)
+    def test_softmax_matches_scipy_bitwise(self, a):
+        with np.errstate(invalid="ignore"):
+            want = scipy.special.softmax(a, axis=1)
+        # rows of nothing but -inf are nan in both
+        assert np.array_equal(_row_softmax(_row_shift(a)[1]), want, equal_nan=True)

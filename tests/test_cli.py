@@ -180,13 +180,16 @@ class TestSelectCommand:
         chosen = float(report.split("chosen lambda:")[1].splitlines()[0])
         match = [r for r in gcv_rows if abs(float(r["lambda"]) - chosen) < 1e-9]
         assert match and int(match[0]["n_selected"]) == n_sel
-        # every scored lambda reports its own solve's convergence and iterations
+        # every scored lambda reports its own solve's convergence, iterations
+        # and largest surrogate jitter
         (res,) = results
+        assert list(gcv_rows[0])[-1] == "jitter"
         scored = [r for r in gcv_rows if r["ok"] == "True"]
         assert len(scored) == len(res.path) > 0
         for row, est in zip(scored, res.path):
             assert row["converged"] == str(est.converged)
             assert int(row["n_iter"]) == est.n_iter
+            assert float(row["jitter"]) == float(f"{est.jitter:.6g}")
 
     def test_select_reports_fit_convergence(self, sim_csv, tmp_path):
         path, _, _ = sim_csv
@@ -355,6 +358,25 @@ class TestSimulateCommand:
         for r in rows:
             if r["method"] == "oracle":
                 assert int(r["tp"]) == 12 and int(r["fp"]) == 0
+
+    def test_replicate_csv_records_unpenalized_fit(self, tmp_path, monkeypatch):
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(CONFIG.replace("replications = 2", "replications = 1"))
+        import scrbar.cli as cli_mod
+        results = []
+        real_run = cli_mod.run_study
+        monkeypatch.setattr(cli_mod, "run_study",
+                            lambda cfg: results.append(real_run(cfg)) or results[-1])
+        out = tmp_path / "fit_cols"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 0
+        (study,) = results
+        fr = study.reference
+        rows = list(csv.DictReader(open(out / "replicates.csv")))
+        assert list(rows[0])[-2:] == ["fit_converged", "fit_iterations"]
+        assert len(rows) == 2
+        for r in rows:
+            assert r["fit_converged"] == str(fr.converged)
+            assert int(r["fit_iterations"]) == fr.n_iter
 
 
 class TestExitCodes:

@@ -303,3 +303,39 @@ class TestRowOrder:
             want = f(params, data, truncation=truncation)
             np.testing.assert_allclose(f(params, shuffled, truncation=truncation), want,
                                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestPointMemo:
+    """BetaLikelihood keeps the closed form at the last beta; its answers must
+    be those of a fresh instance whatever the order of calls."""
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_in_place_mutation_never_returns_stale_point(self, baseline, seed):
+        data = small_dataset(n=25, seed=seed)
+        rng = np.random.default_rng(seed)
+        nuisance = random_params(data, rng, baseline=baseline).nuisance
+        ev = BetaLikelihood(data, nuisance)
+        b = rng.normal(0.0, 0.3, data.p)
+        ev.gradient(b)
+        b[rng.integers(data.p)] += 0.25
+        fresh = BetaLikelihood(data, nuisance)
+        assert np.array_equal(ev.hessian(b), fresh.hessian(b.copy()))
+        b *= -1.0
+        assert ev.loglik(b) == BetaLikelihood(data, nuisance).loglik(b.copy())
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), order=st.lists(st.sampled_from(
+        [(0, "gradient"), (0, "hessian"), (0, "loglik"),
+         (1, "gradient"), (1, "hessian"), (1, "loglik")]), min_size=1, max_size=10))
+    def test_alternating_betas_match_fresh_instances(self, seed, order):
+        data = small_dataset(n=25, seed=seed)
+        rng = np.random.default_rng(seed)
+        nuisance = random_params(data, rng).nuisance
+        betas = [rng.normal(0.0, 0.3, data.p) for _ in range(2)]
+        ev = BetaLikelihood(data, nuisance)
+        for i, name in order:
+            got = getattr(ev, name)(betas[i])
+            want = getattr(BetaLikelihood(data, nuisance), name)(betas[i])
+            assert np.array_equal(got, want)

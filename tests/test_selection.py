@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrbar import (
     Dataset,
@@ -205,6 +207,66 @@ class TestL1:
         assert w[1] == 1e12
         w2 = alasso_weights(np.array([0.25]), psi=2.0)
         assert w2[0] == pytest.approx(16.0)
+
+
+def _reference_coordinate_descent(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
+    """The coordinate-descent loop on numpy scalars, as first written: the
+    reference that the float-scalar loop must reproduce exactly."""
+    def soft(x, thr):
+        return np.sign(x) * max(abs(x) - thr, 0.0)
+
+    b = np.asarray(b0, dtype=float).copy()
+    r = c - G @ b
+    diag = np.diag(G)
+    for _ in range(sweeps):
+        delta = 0.0
+        for j in range(len(b)):
+            old = b[j]
+            bj = soft(r[j] + diag[j] * old, lam * weights[j]) / diag[j]
+            if bj != old:
+                r -= G[:, j] * (bj - old)
+                b[j] = bj
+                delta = max(delta, abs(bj - old))
+        if delta < tol:
+            break
+    return b
+
+
+def _reference_kkt_residual(G, c, b, lam, weights):
+    grad = G @ b - c
+    res = 0.0
+    for j in range(len(b)):
+        if b[j] != 0.0:
+            res = max(res, abs(grad[j] + lam * weights[j] * np.sign(b[j])))
+        else:
+            res = max(res, max(abs(grad[j]) - lam * weights[j], 0.0))
+    return float(res)
+
+
+class TestCoordinateDescentReference:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12),
+           t=st.floats(0.0, 1.0), capped=st.booleans(),
+           sweeps=st.sampled_from([1, 3, 2000]))
+    def test_matches_numpy_scalar_loop_exactly(self, seed, p, t, capped, sweeps):
+        rng = np.random.default_rng(seed)
+        X = np.triu(rng.normal(size=(p, p))) + rng.uniform(0.2, 3.0) * np.eye(p)
+        W = rng.normal(size=p)
+        G, c = X.T @ X, X.T @ W
+        b0 = np.where(rng.random(p) < 0.3, 0.0, rng.normal(size=p))
+        # adaptive weights up to the cap, or LASSO's ones; lambda log-uniform
+        # from 1e-8 to twice the largest |c|, beyond which every coordinate is 0
+        weights = (alasso_weights(np.where(rng.random(p) < 0.2, 1e-300,
+                                           rng.normal(size=p)))
+                   if capped else np.ones(p))
+        lam_max = 2.0 * max(float(np.max(np.abs(c), initial=0.0)), 1e-8)
+        lam = float(np.exp(np.log(1e-8) + t * np.log(lam_max / 1e-8)))
+        got = _coordinate_descent(G, c, b0, lam, weights, sweeps=sweeps)
+        want = _reference_coordinate_descent(G, c, b0, lam, weights, sweeps=sweeps)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert l1_kkt_residual(G, c, got, lam, weights) == _reference_kkt_residual(
+            G, c, got, lam, weights)
 
 
 class TestEffectiveParams:
