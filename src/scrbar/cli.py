@@ -388,10 +388,10 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         truncation = kv.get("truncation", "calendar")
         if truncation not in ("calendar", "gap"):
             raise SchemaError(f"{path}: truncation must be calendar or gap")
+        grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     scenario = resolve_scenario(n, design, rho, censoring, trunc_fraction, seed)
-    grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
     fit = FitConfig(baseline=baseline, degrees=degrees, truncation=truncation)
     return ExperimentConfig(scenario=scenario, methods=methods, replications=reps,
                             fit=fit, lambda_grid=grid, out_dir=out_dir, jobs=jobs)
@@ -644,6 +644,17 @@ class _Parser(argparse.ArgumentParser):
         raise SchemaError(message)
 
 
+def _positive(kind):
+    """An argparse type: ``kind(text)``, refused unless finite and above 0."""
+    def parse(text):
+        value = kind(text)
+        if not 0 < value < np.inf:
+            raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+        return value
+    parse.__name__ = kind.__name__          # argparse names it in errors
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="scrbar", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -670,9 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("csv")
     s.add_argument("--method", choices=("bar", "lasso", "alasso", "oracle"),
                    default="bar")
-    s.add_argument("--lambda-min", type=float, default=1e-3)
-    s.add_argument("--lambda-max", type=float, default=1e2)
-    s.add_argument("--lambda-count", type=int, default=30)
+    s.add_argument("--lambda-min", type=_positive(float), default=1e-3)
+    s.add_argument("--lambda-max", type=_positive(float), default=1e2)
+    s.add_argument("--lambda-count", type=_positive(int), default=30)
     s.add_argument("--oracle-support", default=None,
                    help="1-based column indices per transition, ';'-separated")
     common(s)

@@ -40,14 +40,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting policy: baseline mode, iteration limits, tolerances, starts."""
+    """Fitting policy: baseline mode, Bernstein degrees, gradient tolerance,
+    quadrature and truncation convention."""
 
     baseline: str = "weibull"           # "weibull" | "bernstein"
     degrees: tuple = (2, 2, 3)
-    max_iter: int = 600
     gtol: float = 5e-4                  # sup-norm of the gradient at the optimum
-    xtol: float = 1e-12                 # relative objective-change tolerance
-    init_gamma: float = 0.5
     quadrature: QuadratureRule = DEFAULT_QUADRATURE   # Bernstein cumulative hazards
     truncation: str = "calendar"        # "calendar" | "gap"; see likelihood module
 
@@ -56,8 +54,8 @@ class FitConfig:
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
         if self.truncation not in ("gap", "calendar"):
             raise ValueError(f"unknown truncation convention {self.truncation!r}")
-        if self.gtol <= 0 or self.xtol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.gtol <= 0:
+            raise ValueError("gradient tolerance must be positive")
         if any(int(m) < 0 for m in self.degrees):
             raise ValueError("Bernstein degrees must be nonnegative")
 
@@ -218,7 +216,7 @@ class _Objective:
     # -- starting point ---------------------------------------------------
     def initial_point(self):
         theta = np.zeros(self.n_params)
-        theta[self.p] = np.log(self.cfg.init_gamma)
+        theta[self.p] = np.log(0.5)                      # gamma = 0.5
         exposure12 = max(float(np.sum(self.core.gap12)), 1e-12)
         exposure3 = max(float(np.sum(self.core.sojourn)), 1e-12)
         rates = [max(float(self.core.ev_mask[j].sum()), 0.5) / exposure
@@ -277,7 +275,7 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
     res = scipy.optimize.minimize(
         obj.value_and_grad, x0, jac=True, method="L-BFGS-B",
         bounds=bounds,
-        options={"maxiter": cfg.max_iter, "ftol": cfg.xtol,
+        options={"maxiter": 600, "ftol": 1e-12,
                  "gtol": cfg.gtol / 10.0, "maxls": 60, "maxcor": 20})
     _, grad = obj.value_and_grad(res.x)
     # projected gradient: components pushing against an active bound don't count

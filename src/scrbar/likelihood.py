@@ -166,12 +166,12 @@ class _Core:
 class _Point:
     """The closed form at stacked coefficients ``beta`` and log frailty
     variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
-    weights and log-gamma derivative are computed on request, the shrink
-    weights once."""
+    weights, beta Hessian and log-gamma derivative are computed on request,
+    the shrink weights and the Hessian once."""
 
     def __init__(self, core: _Core, beta, log_gamma, lb):
         self.core, self.log_gamma = core, log_gamma
-        self._w = None
+        self._w = self._H = None
         self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
         self.loge = np.column_stack([lb[k] + self.lp[k] for k in range(3)])
         self.logS = _row_logsumexp(self.loge)
@@ -195,6 +195,26 @@ class _Point:
             self._w = self.c[:, None] * np.exp(self.log_gamma + self.loge - self.L1[:, None])
         return self._w
 
+    def hessian(self) -> np.ndarray:
+        """The log-likelihood Hessian in beta (p x p), built once."""
+        if self._H is None:
+            core, w = self.core, self.shrink_weights()
+            offs, Z = core.offs, core.Z
+            H = self._H = np.zeros((core.p, core.p))
+            for k in range(3):
+                for kp in range(k, 3):
+                    a = w[:, k] * w[:, kp] / self.c
+                    if kp == k:
+                        a = a - w[:, k]
+                    blk = Z[k].T @ (a[:, None] * Z[kp])
+                    if kp == k:
+                        # mirror the lower triangle so H is symmetric exactly
+                        blk = np.tril(blk) + np.tril(blk, -1).T
+                    H[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = blk
+                    if kp != k:
+                        H[offs[kp]:offs[kp + 1], offs[k]:offs[k + 1]] = blk.T
+        return self._H
+
     def dlog_gamma(self) -> float:
         gamma, ew3 = self.gamma, self.core.event_weight[2]
         Q = np.exp(self.log_gamma + self.logS - self.L1)       # gamma S / (1 + gamma S)
@@ -208,7 +228,9 @@ class BetaLikelihood:
     they are computed once at construction; evaluations in beta are then
     cheap vectorized closed forms.  All internals stay in log space to keep
     exp(b'z) overflow out of the picture.  The closed form at the last beta
-    is kept, so a gradient and a Hessian at the same beta build it once.
+    is kept, so a gradient and a Hessian at the same beta build it once; the
+    Hessian is built once per beta too and handed out as a copy, which the
+    caller may write into.
     """
 
     def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE,
@@ -245,24 +267,7 @@ class BetaLikelihood:
         return self.core.grad_beta(self._at(beta).shrink_weights())
 
     def hessian(self, beta) -> np.ndarray:
-        pt = self._at(beta)
-        w = pt.shrink_weights()
-        H = np.zeros((self.p, self.p))
-        offs = self.core.offs
-        Z = self.core.Z
-        for k in range(3):
-            for kp in range(k, 3):
-                a = w[:, k] * w[:, kp] / pt.c
-                if kp == k:
-                    a = a - w[:, k]
-                blk = Z[k].T @ (a[:, None] * Z[kp])
-                if kp == k:
-                    # mirror the lower triangle so H is symmetric exactly
-                    blk = np.tril(blk) + np.tril(blk, -1).T
-                H[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = blk
-                if kp != k:
-                    H[offs[kp]:offs[kp + 1], offs[k]:offs[k + 1]] = blk.T
-        return H
+        return self._at(beta).hessian().copy()
 
 
 def risk_terms(rec: SubjectRecord, params: ModelParameters,

@@ -1,11 +1,13 @@
 """Penalized selection on the quadratic surrogate.
 
-All three penalties operate on the same machinery: at the current iterate
+All three penalties run the same loop, ``_solve``: at the current iterate
 the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
 by the least-squares surrogate 0.5 ||W - X b||^2 built from Cholesky
-pseudo-data, and the penalized surrogate is minimized in closed form (BAR
-ridge update) or by cyclic coordinate descent with soft-thresholding
-(LASSO / adaptive LASSO).  The surrogate is rebuilt at each new iterate.
+pseudo-data, one penalized step is taken on it, and the surrogate is
+rebuilt at the new iterate until the iterates stabilize.  Only the step
+differs: BAR solves its reweighted ridge in closed form (``bar_step``),
+LASSO and adaptive LASSO run cyclic coordinate descent with
+soft-thresholding on (X'X, X'W) with unit or adaptive weights.
 
 BAR's reweighted ridge cannot produce exact zeros on its own (the weight
 1/b^2 diverges instead), so coordinates falling below the zero threshold
@@ -43,6 +45,8 @@ _WEIGHT_CAP = 1e12
 def default_lambda_grid(n: int, lo: float = 1e-3, hi: float = 1e2,
                         count: int = 30) -> np.ndarray:
     """Log-spaced tuning grid scaled by n/100."""
+    if not (0.0 < lo < np.inf and 0.0 < hi < np.inf and count >= 1):
+        raise ValueError("lambda grid needs positive finite ends and count >= 1")
     return np.geomspace(lo, hi, count) * (n / 100.0)
 
 
@@ -52,7 +56,6 @@ class PenaltyConfig:
 
     kind: str = "bar"                   # "bar" | "lasso" | "alasso"
     lambda_grid: np.ndarray = None      # None -> default_lambda_grid(n)
-    alasso_psi: float = 1.0
     max_iter: int = 100
     tol: float = 1e-6                   # sup-norm change between iterates
     zero_threshold: float = 1e-6        # |b| below this is exactly 0
@@ -60,8 +63,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in ("bar", "lasso", "alasso"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.zero_threshold <= 0 or self.tol <= 0 or self.alasso_psi <= 0:
-            raise ValueError("tolerances and exponent must be positive")
+        if self.zero_threshold <= 0 or self.tol <= 0:
+            raise ValueError("tolerances must be positive")
         if self.lambda_grid is not None:
             grid = np.asarray(self.lambda_grid, dtype=float)
             if grid.size == 0 or np.any(grid <= 0):
@@ -157,51 +160,37 @@ def alasso_weights(beta_tilde, psi: float = 1.0) -> np.ndarray:
                       _WEIGHT_CAP)
 
 
-def _bar_iterate(ev, beta_init, lam, cfg):
-    beta = np.where(np.abs(beta_init) >= cfg.zero_threshold, beta_init, 0.0)
-    converged = False
-    n_iter = 0
-    jitter = 0.0
+def _solve(ev, beta_init, lam, cfg, weights=None):
+    """The surrogate loop: BAR ridge steps when ``weights`` is None, starting
+    with the coordinates below the zero threshold frozen; weighted L1
+    coordinate descent on (X'X, X'W) from ``beta_init`` as given otherwise."""
+    thr = cfg.zero_threshold
+    if weights is None:
+        beta = np.where(np.abs(beta_init) >= thr, beta_init, 0.0)
+    else:
+        beta = np.asarray(beta_init, dtype=float).copy()
+    converged, n_iter, jitter = False, 0, 0.0
     for n_iter in range(1, cfg.max_iter + 1):
+        # looked up on this module per call, so wrappers set there see each
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
         jitter = max(jitter, pseudo.jitter)
-        beta_new = bar_step(beta, pseudo, lam, cfg.zero_threshold)
+        if weights is None:
+            beta_new = bar_step(beta, pseudo, lam, thr)
+        else:
+            beta_new = _coordinate_descent(pseudo.X.T @ pseudo.X, pseudo.X.T @ pseudo.W,
+                                           beta, lam, weights)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         if delta < cfg.tol:
             converged = True
             break
-    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
+    beta = np.where(np.abs(beta) >= thr, beta, 0.0)
     support = np.flatnonzero(beta != 0.0)
     # at the fixed point the adaptive ridge penalty equals lam * support size
-    objective = -ev.loglik(beta) + lam * support.size
+    penalty = support.size if weights is None else float(weights @ np.abs(beta))
     return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
-                             n_iter=n_iter, objective=objective, converged=converged,
-                             jitter=jitter)
-
-
-def _l1_iterate(ev, beta_init, lam, cfg, weights):
-    beta = np.asarray(beta_init, dtype=float).copy()
-    converged = False
-    n_iter = 0
-    jitter = 0.0
-    for n_iter in range(1, cfg.max_iter + 1):
-        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
-        jitter = max(jitter, pseudo.jitter)
-        G = pseudo.X.T @ pseudo.X
-        c = pseudo.X.T @ pseudo.W
-        beta_new = _coordinate_descent(G, c, beta, lam, weights)
-        delta = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        if delta < cfg.tol:
-            converged = True
-            break
-    support = np.flatnonzero(np.abs(beta) >= cfg.zero_threshold)
-    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
-    objective = -ev.loglik(beta) + lam * float(weights @ np.abs(beta))
-    return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
-                             n_iter=n_iter, objective=objective, converged=converged,
-                             jitter=jitter)
+                             n_iter=n_iter, objective=-ev.loglik(beta) + lam * penalty,
+                             converged=converged, jitter=jitter)
 
 
 def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
@@ -210,9 +199,8 @@ def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyC
     """Iterate BAR updates from the unpenalized estimate until the iterates
     stabilize; nuisance parameters stay fixed at ``nu_tilde``'s values."""
     ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
-    if beta_init is None:
-        beta_init = nu_tilde.params.beta.stacked
-    return _bar_iterate(ev, beta_init, lam, cfg)
+    start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
+    return _solve(ev, start, lam, cfg)
 
 
 def l1_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(kind="lasso"),
@@ -224,11 +212,9 @@ def l1_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyCo
     unpenalized coefficients for the adaptive variant.
     """
     ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
-    if beta_init is None:
-        beta_init = nu_tilde.params.beta.stacked
-    if weights is None:
-        weights = np.ones(ev.p)
-    return _l1_iterate(ev, beta_init, lam, cfg, np.asarray(weights, dtype=float))
+    start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
+    weights = np.ones(ev.p) if weights is None else np.asarray(weights, dtype=float)
+    return _solve(ev, start, lam, cfg, weights)
 
 
 _R_DIAG_NUMERATOR = {"bar": 2.0, "lasso": 1.0, "alasso": 1.0}
@@ -271,9 +257,9 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     grid = np.sort(np.asarray(grid, dtype=float))
     ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
     beta_tilde = nu_tilde.params.beta.stacked
-    weights = None
+    weights = None                      # BAR
     if cfg.kind == "alasso":
-        weights = alasso_weights(beta_tilde, cfg.alasso_psi)
+        weights = alasso_weights(beta_tilde)
     elif cfg.kind == "lasso":
         weights = np.ones(ev.p)
 
@@ -285,10 +271,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
                "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",
                "converged": np.nan, "n_iter": np.nan, "jitter": np.nan}
         try:
-            if cfg.kind == "bar":
-                est = _bar_iterate(ev, beta_start, lam, cfg)
-            else:
-                est = _l1_iterate(ev, beta_start, lam, cfg, weights)
+            est = _solve(ev, beta_start, lam, cfg, weights)
             ll = ev.loglik(est.beta_hat)
             s = effective_params(est.beta_hat, ev.hessian(est.beta_hat), lam,
                                  cfg, weights)

@@ -379,6 +379,41 @@ class TestSimulateCommand:
             assert int(r["fit_iterations"]) == fr.n_iter
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("ran before the lambda grid inputs were checked")
+
+
+class TestLambdaGridInputs:
+    """A lambda grid that is not positive, or has no points, is a usage
+    error (exit 1) found before any fit or calibration."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lambda-count", "0"), ("--lambda-count", "-2"), ("--lambda-min", "0"),
+        ("--lambda-min", "-1"), ("--lambda-max", "-1"), ("--lambda-max", "nan")])
+    def test_select_flag_rejected_before_fitting(self, sim_csv, tmp_path, monkeypatch,
+                                                 capsys, flag, value):
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+        monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
+        path, _, _ = sim_csv
+        rc = main(["select", path, "--baseline", "bernstein", "--degrees", "bic",
+                   flag, value, "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", [
+        "lambda_count = 0", "lambda_min = 0", "lambda_min = -1", "lambda_max = -1"])
+    def test_simulate_key_rejected_before_calibrating(self, tmp_path, monkeypatch,
+                                                      capsys, line):
+        import scrbar.cli as cli_mod
+        for name in ("calibrate_censoring", "calibrate_truncation", "run_study"):
+            monkeypatch.setattr(cli_mod, name, _must_not_run)
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(CONFIG.replace("lambda_count = 10\n", line + "\n"))
+        assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "bad")]) == 1
+        assert "lambda grid" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["no-such-command"]) == 1

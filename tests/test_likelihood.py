@@ -339,3 +339,20 @@ class TestPointMemo:
             got = getattr(ev, name)(betas[i])
             want = getattr(BetaLikelihood(data, nuisance), name)(betas[i])
             assert np.array_equal(got, want)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_writing_into_a_hessian_leaves_the_next_unchanged(self, seed):
+        data = small_dataset(n=25, seed=seed)
+        rng = np.random.default_rng(seed)
+        nuisance = random_params(data, rng).nuisance
+        b = rng.normal(0.0, 0.3, data.p)
+        ev = BetaLikelihood(data, nuisance)
+        H = ev.hessian(b)
+        want = H.copy()
+        H += 1.0
+        H[0, -1] = np.nan
+        again = ev.hessian(b)
+        assert again is not H
+        assert np.array_equal(again, want)
+        assert np.array_equal(again, BetaLikelihood(data, nuisance).hessian(b.copy()))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from scrbar import (
     Dataset,
+    PenalizedEstimate,
     PenaltyConfig,
     SubjectRecord,
     alasso_weights,
@@ -18,6 +21,7 @@ from scrbar import (
 )
 from scrbar.estimation import FitConfig
 from scrbar.likelihood import BetaLikelihood, PseudoData, pseudo_data
+import scrbar.selection as selection_mod
 from scrbar.selection import _coordinate_descent, l1_kkt_residual
 from _helpers import small_dataset, small_scenario
 from scrbar.datagen import simulate_dataset
@@ -343,13 +347,17 @@ class TestGcv:
         assert g100.size == 30
         np.testing.assert_allclose(g300, 3.0 * g100)
 
+    @pytest.mark.parametrize("kw", [{"count": 0}, {"lo": 0.0}, {"hi": -1.0},
+                                    {"lo": np.nan}, {"hi": np.inf}])
+    def test_default_grid_rejects_bad_inputs(self, kw):
+        with pytest.raises(ValueError):
+            default_lambda_grid(100, **kw)
+
     def test_gcv_choice_beats_grid_endpoints(self):
         # the tuned BAR model should misclassify strictly less than both
         # the near-unpenalized and the all-zero ends of the path
         from dataclasses import replace
         from scrbar import RegressionCoefficients, confusion_counts
-        from scrbar.likelihood import BetaLikelihood
-        from scrbar.selection import _bar_iterate
         wins = 0
         n_seeds = 30
         for seed in range(n_seeds):
@@ -361,12 +369,183 @@ class TestGcv:
             nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
             cfg = PenaltyConfig(kind="bar")
             res = gcv_select(data, nu, cfg)
-            ev = BetaLikelihood(data, nu.params.nuisance)
             grid = default_lambda_grid(len(data))
             mcvs = []
             for lam in (grid.min(), grid.max()):
-                est = _bar_iterate(ev, nu.params.beta.stacked, lam, cfg)
+                est = bar_solve(data, nu, lam, cfg)
                 mcvs.append(confusion_counts(est.beta_hat, truth)[2])
             chosen_mcv = confusion_counts(res.best.beta_hat, truth)[2]
             wins += int(chosen_mcv < min(mcvs))
         assert wins >= 0.8 * n_seeds
+
+
+def _reference_bar_iterate(ev, beta_init, lam, cfg):
+    """BAR's solve loop as it was before the three kinds shared one loop:
+    the reference the shared loop must reproduce exactly."""
+    beta = np.where(np.abs(beta_init) >= cfg.zero_threshold, beta_init, 0.0)
+    converged = False
+    n_iter = 0
+    jitter = 0.0
+    for n_iter in range(1, cfg.max_iter + 1):
+        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        jitter = max(jitter, pseudo.jitter)
+        beta_new = bar_step(beta, pseudo, lam, cfg.zero_threshold)
+        delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
+        beta = beta_new
+        if delta < cfg.tol:
+            converged = True
+            break
+    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
+    support = np.flatnonzero(beta != 0.0)
+    objective = -ev.loglik(beta) + lam * support.size
+    return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
+                             n_iter=n_iter, objective=objective, converged=converged,
+                             jitter=jitter)
+
+
+def _reference_l1_iterate(ev, beta_init, lam, cfg, weights):
+    """The LASSO/ALASSO solve loop as it was before the shared loop."""
+    beta = np.asarray(beta_init, dtype=float).copy()
+    converged = False
+    n_iter = 0
+    jitter = 0.0
+    for n_iter in range(1, cfg.max_iter + 1):
+        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        jitter = max(jitter, pseudo.jitter)
+        G = pseudo.X.T @ pseudo.X
+        c = pseudo.X.T @ pseudo.W
+        beta_new = _coordinate_descent(G, c, beta, lam, weights)
+        delta = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        if delta < cfg.tol:
+            converged = True
+            break
+    support = np.flatnonzero(np.abs(beta) >= cfg.zero_threshold)
+    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
+    objective = -ev.loglik(beta) + lam * float(weights @ np.abs(beta))
+    return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
+                             n_iter=n_iter, objective=objective, converged=converged,
+                             jitter=jitter)
+
+
+def _reference_solve(ev, beta_init, lam, cfg, weights):
+    if weights is None:
+        return _reference_bar_iterate(ev, beta_init, lam, cfg)
+    return _reference_l1_iterate(ev, beta_init, lam, cfg, weights)
+
+
+def _assert_same_estimate(got, want):
+    for field in dataclasses.fields(PenalizedEstimate):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+def _kind_weights(kind, nu, p):
+    return {"bar": None, "lasso": np.ones(p),
+            "alasso": alasso_weights(nu.params.beta.stacked)}[kind]
+
+
+class TestSolveReference:
+    """``bar_solve``, ``l1_solve`` and every ``gcv_select`` path point are bit
+    for bit the answers of the per-kind loops kept above as the reference."""
+
+    @pytest.mark.parametrize("kind", ["bar", "lasso", "alasso"])
+    @pytest.mark.parametrize("max_iter", [1, 100])
+    @pytest.mark.parametrize("start", ["fit", "zeros"])
+    def test_solvers_match_reference(self, fitted, kind, max_iter, start):
+        data, nu = fitted
+        beta_init = nu.params.beta.stacked.copy()
+        if start == "zeros":
+            # exact zeros and entries below the zero threshold
+            beta_init[[1, 5]] = 0.0
+            beta_init[4] = 1e-9
+            beta_init[7] = -3e-7
+        ev = BetaLikelihood(data, nu.params.nuisance)
+        weights = _kind_weights(kind, nu, data.p)
+        cfg = PenaltyConfig(kind=kind, max_iter=max_iter)
+        nonconverged = 0
+        for lam in (0.0, 0.3, 2.0, 9.0):
+            if kind == "bar":
+                got = bar_solve(data, nu, lam, cfg, beta_init=beta_init)
+            else:
+                got = l1_solve(data, nu, lam, cfg, weights=weights, beta_init=beta_init)
+            _assert_same_estimate(got, _reference_solve(ev, beta_init, lam, cfg, weights))
+            nonconverged += not got.converged
+        if max_iter == 1:
+            assert nonconverged > 0
+
+    @pytest.mark.parametrize("kind", ["bar", "lasso", "alasso"])
+    @pytest.mark.parametrize("max_iter", [1, 100])
+    def test_gcv_path_matches_reference(self, fitted, kind, max_iter):
+        data, nu = fitted
+        cfg = PenaltyConfig(kind=kind, max_iter=max_iter,
+                            lambda_grid=default_lambda_grid(len(data), count=8))
+        res = gcv_select(data, nu, cfg)
+        ev = BetaLikelihood(data, nu.params.nuisance)
+        weights = _kind_weights(kind, nu, data.p)
+        # the path is warm-started from the previous scored solution, at the
+        # grid's own numpy lambdas
+        grid = {float(lam): lam for lam in cfg.lambda_grid}
+        start = nu.params.beta.stacked
+        scored = [row for row in res.table if row["ok"]]
+        assert len(scored) == len(res.path) > 0
+        for row, est in zip(scored, res.path):
+            want = _reference_solve(ev, start, grid[est.lam], cfg, weights)
+            _assert_same_estimate(est, want)
+            assert (row["lambda"], row["n_iter"], row["converged"], row["jitter"]) == \
+                (want.lam, want.n_iter, want.converged, want.jitter)
+            start = want.beta_hat
+        assert res.best_lambda in [est.lam for est in res.path]
+
+
+class TestModuleLookups:
+    """The solve loop looks ``pseudo_data`` and ``bar_step`` up on
+    ``scrbar.selection`` at call time, so a wrapper set there sees every
+    surrogate refresh and every BAR step."""
+
+    @pytest.mark.parametrize("kind", ["bar", "lasso"])
+    def test_wrappers_count_every_iteration(self, fitted, monkeypatch, kind):
+        data, nu = fitted
+        counts = {"pseudo_data": 0, "bar_step": 0}
+
+        def counting(name):
+            real = getattr(selection_mod, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(selection_mod, name, counting(name))
+        cfg = PenaltyConfig(kind=kind, lambda_grid=np.geomspace(0.05, 5.0, 5))
+        res = gcv_select(data, nu, cfg)
+        assert all(row["ok"] for row in res.table)
+        iters = sum(est.n_iter for est in res.path)
+        assert iters > len(res.path)
+        assert counts["pseudo_data"] == iters
+        assert counts["bar_step"] == (iters if kind == "bar" else 0)
+
+
+class TestBarFixedPointProperty:
+    """Acceptance criterion 4 on random designs: at lambda = 0 the BAR fixed
+    point is the Newton step of the surrogate refreshed there."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(50, 90), d=st.integers(2, 4),
+           truncation=st.sampled_from(["calendar", "gap"]))
+    def test_lambda_zero_fixed_point_is_newton_step(self, seed, n, d, truncation):
+        data = small_dataset(n=n, d=d, seed=seed)
+        nu = fit_unpenalized(data, FitConfig(baseline="weibull", truncation=truncation))
+        est = bar_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300),
+                        truncation=truncation)
+        assert est.converged and est.support.size == data.p
+        ev = BetaLikelihood(data, nu.params.nuisance, truncation=truncation)
+        pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
+                         ev.hessian(est.beta_hat))
+        newton = np.linalg.solve(pd.X.T @ pd.X, pd.X.T @ pd.W)
+        np.testing.assert_allclose(est.beta_hat, newton, rtol=0, atol=1e-8)
