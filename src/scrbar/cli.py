@@ -219,13 +219,19 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replication count must be at least 1")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for m in self.methods:
-            if m not in ("bar", "lasso", "alasso", "oracle"):
-                raise ValueError(f"unknown method {m!r}")
+        _check_study(self.methods, self.replications)
+
+
+def _check_study(methods, replications):
+    """Raise ValueError unless there is at least one replicate and one known
+    method; ``parse_experiment_config`` calls it before calibrating."""
+    if replications < 1:
+        raise ValueError("replication count must be at least 1")
+    if not methods:
+        raise ValueError("at least one method is required")
+    for m in methods:
+        if m not in ("bar", "lasso", "alasso", "oracle"):
+            raise ValueError(f"unknown method {m!r}")
 
 
 @dataclass(frozen=True)
@@ -389,6 +395,7 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         if truncation not in ("calendar", "gap"):
             raise SchemaError(f"{path}: truncation must be calendar or gap")
         grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
+        _check_study(methods, reps)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     scenario = resolve_scenario(n, design, rho, censoring, trunc_fraction, seed)

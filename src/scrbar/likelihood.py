@@ -38,13 +38,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 import scipy.linalg
-import scipy.stats
 
 from .baselines import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
     WeibullBaselineSet,
-    _row_logsumexp,
+    _logsumexp3,
     bernstein_log_hazard,
     cumulative_hazard,
     log_cumulative_hazard,
@@ -122,6 +121,9 @@ class _Core:
         self.dims, self.p, self.n = data.dims, data.p, len(data)
         self.offs = np.concatenate([[0], np.cumsum(self.dims)])
         self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
+        # the concatenated design and the transition of each of its columns
+        self.Zcat = np.hstack(self.Z)
+        self.transition = np.repeat(np.arange(3), self.dims)
         l, y1, d1, y2, d2 = (arr[k] for k in ("l", "y1", "delta1", "y2", "delta2"))
         self.delta = (d1, d2)
         self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
@@ -167,14 +169,14 @@ class _Point:
     """The closed form at stacked coefficients ``beta`` and log frailty
     variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
     weights, beta Hessian and log-gamma derivative are computed on request,
-    the shrink weights and the Hessian once."""
+    the shrink weights and the full Hessian once."""
 
     def __init__(self, core: _Core, beta, log_gamma, lb):
         self.core, self.log_gamma = core, log_gamma
         self._w = self._H = None
         self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
-        self.loge = np.column_stack([lb[k] + self.lp[k] for k in range(3)])
-        self.logS = _row_logsumexp(self.loge)
+        self.loge = np.array([lb[k] + self.lp[k] for k in range(3)])    # (3, n)
+        self.logS = _logsumexp3(self.loge)
         self.L1 = np.logaddexp(0.0, log_gamma + self.logS)     # log(1 + gamma S)
         self.gamma = np.exp(log_gamma)
         self.c = 1.0 / self.gamma + core.delta[0] + core.delta[1]
@@ -192,28 +194,33 @@ class _Point:
     def shrink_weights(self) -> np.ndarray:
         """w_k = c gamma e_k / (1 + gamma S), per record and transition (n x 3)."""
         if self._w is None:
-            self._w = self.c[:, None] * np.exp(self.log_gamma + self.loge - self.L1[:, None])
+            w = self.c * np.exp(self.log_gamma + self.loge - self.L1)
+            # in (n, 3) C order, so products with its columns round as before
+            self._w = np.ascontiguousarray(w.T)
         return self._w
 
-    def hessian(self) -> np.ndarray:
-        """The log-likelihood Hessian in beta (p x p), built once."""
-        if self._H is None:
-            core, w = self.core, self.shrink_weights()
-            offs, Z = core.offs, core.Z
-            H = self._H = np.zeros((core.p, core.p))
-            for k in range(3):
-                for kp in range(k, 3):
-                    a = w[:, k] * w[:, kp] / self.c
-                    if kp == k:
-                        a = a - w[:, k]
-                    blk = Z[k].T @ (a[:, None] * Z[kp])
-                    if kp == k:
-                        # mirror the lower triangle so H is symmetric exactly
-                        blk = np.tril(blk) + np.tril(blk, -1).T
-                    H[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = blk
-                    if kp != k:
-                        H[offs[kp]:offs[kp + 1], offs[k]:offs[k + 1]] = blk.T
-        return self._H
+    def hessian(self, idx=None) -> np.ndarray:
+        """The log-likelihood Hessian in beta, or its block on the sorted
+        coordinates ``idx``; the full matrix (idx None) is built once.
+
+        With w the shrink weights, the (k, l) transition block is
+        Z_k' diag(w_k w_l / c - [k = l] w_k) Z_l, so H = V'V - M o U'U with
+        V = Z (w / sqrt c) and U = Z sqrt(w) column by column on the
+        concatenated design and M the same-transition mask.  Both products
+        are A'A, so H is exactly symmetric.
+        """
+        if idx is None and self._H is not None:
+            return self._H
+        core, w = self.core, self.shrink_weights()
+        Z, k = core.Zcat, core.transition
+        if idx is not None:
+            Z, k = Z[:, idx], k[idx]
+        V = Z * (w / np.sqrt(self.c)[:, None])[:, k]
+        U = Z * np.sqrt(w)[:, k]
+        H = V.T @ V - np.where(k[:, None] == k, U.T @ U, 0.0)
+        if idx is None:
+            self._H = H
+        return H
 
     def dlog_gamma(self) -> float:
         gamma, ew3 = self.gamma, self.core.event_weight[2]
@@ -266,8 +273,11 @@ class BetaLikelihood:
     def gradient(self, beta) -> np.ndarray:
         return self.core.grad_beta(self._at(beta).shrink_weights())
 
-    def hessian(self, beta) -> np.ndarray:
-        return self._at(beta).hessian().copy()
+    def hessian(self, beta, idx=None) -> np.ndarray:
+        """The Hessian in beta, or its block on the sorted coordinates
+        ``idx`` (an integer array); always a fresh array."""
+        H = self._at(beta).hessian(idx)
+        return H.copy() if idx is None else H
 
 
 def risk_terms(rec: SubjectRecord, params: ModelParameters,
@@ -316,7 +326,7 @@ def hessian_beta(params: ModelParameters, data: Dataset,
                  quad: QuadratureRule = DEFAULT_QUADRATURE,
                  truncation: str = "calendar") -> np.ndarray:
     """Hessian of the log-likelihood in the stacked coefficient vector
-    (symmetric; only the lower triangle is computed)."""
+    (exactly symmetric)."""
     ev = BetaLikelihood(data, params.nuisance, quad, truncation)
     return ev.hessian(params.beta.stacked)
 
@@ -353,6 +363,10 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
         log_a += float(_log_event_hazard(spec, 3, np.array([soj]))[0])
         log_a += float(b.beta3 @ rec.z3)
 
+    # imported on first use: this oracle is its only user, and importing it
+    # with the package nearly doubled the time and added ~19 MB to the
+    # memory of `import scrbar.cli`
+    import scipy.stats
     dist = scipy.stats.gamma(a=1.0 / gamma, scale=gamma)
 
     # integrate on the log-frailty scale, where the integrand (including
@@ -393,11 +407,12 @@ def pseudo_data(beta, u, H, max_jitter_doublings: int = 20) -> PseudoData:
     p = len(beta)
     jitters = [0.0] + [1e-10 * 2.0**k for k in range(max_jitter_doublings + 1)]
     for jit in jitters:
+        A = J + jit * np.eye(p) if jit else J
         try:
-            X = scipy.linalg.cholesky(J + jit * np.eye(p), lower=False)
+            X = scipy.linalg.cholesky(A, lower=False)
         except scipy.linalg.LinAlgError:
             continue
-        rhs = (J + jit * np.eye(p)) @ beta + np.asarray(u, dtype=float)
+        rhs = A @ beta + np.asarray(u, dtype=float)
         W = scipy.linalg.solve_triangular(X, rhs, trans="T", lower=False)
         return PseudoData(X=X, W=W, jitter=jit)
     raise np.linalg.LinAlgError(

@@ -13,6 +13,10 @@ BAR's reweighted ridge cannot produce exact zeros on its own (the weight
 1/b^2 diverges instead), so coordinates falling below the zero threshold
 are frozen at exactly 0 and dropped from the ridge system - the standard
 resolution, and the reason the zero set can only grow across iterations.
+BAR therefore builds each surrogate on its nonzero block alone (Dai et al.
+2018 solve the reweighted ridge on the nonzero set too): the Hessian
+block, its Cholesky factor and the ridge solve cost what that block costs,
+and the iterates are those of the full surrogate up to rounding.
 """
 
 from __future__ import annotations
@@ -76,7 +80,9 @@ class PenaltyConfig:
 class PenalizedEstimate:
     """One penalized solution: exact zeros off the support.  ``jitter`` is
     the largest diagonal jitter ``pseudo_data`` added over the solve's
-    surrogate refreshes (0 when every -H was positive definite)."""
+    surrogate refreshes, on the block of -H that the step factors: BAR's
+    nonzero coordinates, all of them for LASSO and ALASSO (0 when every such
+    block was positive definite)."""
 
     beta_hat: np.ndarray
     support: np.ndarray
@@ -163,7 +169,13 @@ def alasso_weights(beta_tilde, psi: float = 1.0) -> np.ndarray:
 def _solve(ev, beta_init, lam, cfg, weights=None):
     """The surrogate loop: BAR ridge steps when ``weights`` is None, starting
     with the coordinates below the zero threshold frozen; weighted L1
-    coordinate descent on (X'X, X'W) from ``beta_init`` as given otherwise."""
+    coordinate descent on (X'X, X'W) from ``beta_init`` as given otherwise.
+
+    BAR refreshes the surrogate on the nonzero coordinates nz only: beta is 0
+    off nz, so (J beta + u)[nz] = J[nz, nz] beta[nz] + u[nz], and the step
+    never reads the rest.  L1 coordinates can re-enter, so LASSO and ALASSO
+    refresh on all of them.
+    """
     thr = cfg.zero_threshold
     if weights is None:
         beta = np.where(np.abs(beta_init) >= thr, beta_init, 0.0)
@@ -171,14 +183,19 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
         beta = np.asarray(beta_init, dtype=float).copy()
     converged, n_iter, jitter = False, 0, 0.0
     for n_iter in range(1, cfg.max_iter + 1):
-        # looked up on this module per call, so wrappers set there see each
-        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
-        jitter = max(jitter, pseudo.jitter)
+        # pseudo_data and bar_step are looked up on this module per call, so
+        # wrappers set there see each
+        u = ev.gradient(beta)
         if weights is None:
-            beta_new = bar_step(beta, pseudo, lam, thr)
+            nz = np.flatnonzero(beta)
+            pseudo = pseudo_data(beta[nz], u[nz], ev.hessian(beta, nz))
+            beta_new = np.zeros_like(beta)
+            beta_new[nz] = bar_step(beta[nz], pseudo, lam, thr)
         else:
+            pseudo = pseudo_data(beta, u, ev.hessian(beta))
             beta_new = _coordinate_descent(pseudo.X.T @ pseudo.X, pseudo.X.T @ pseudo.W,
                                            beta, lam, weights)
+        jitter = max(jitter, pseudo.jitter)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         if delta < cfg.tol:

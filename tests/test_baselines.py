@@ -15,7 +15,7 @@ from scrbar import (
     weibull_hazard,
     weibull_inverse_cumhaz,
 )
-from scrbar.baselines import _row_logsumexp, _row_shift, _row_softmax
+from scrbar.baselines import _logsumexp3, _row_logsumexp, _row_shift, _row_softmax
 
 
 def flat_bernstein(value=0.0, degrees=(2, 2, 3), u=10.0):
@@ -177,6 +177,17 @@ class TestRowKernels:
             want = scipy.special.logsumexp(a, axis=1)
         assert np.array_equal(_row_logsumexp(a), want)
         assert np.array_equal(_row_logsumexp(a, _row_shift(a)), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=arrays(float, st.tuples(st.integers(0, 30), st.just(3)), elements=_SCORE))
+    def test_three_column_logsumexp_matches_row_kernel_bitwise(self, a):
+        # rows with a three-way tie, a tie at -inf and nothing but -inf always
+        a = np.vstack([a, [[1.5, 1.5, 1.5], [-np.inf, -np.inf, 0.0],
+                           [-np.inf, -np.inf, -np.inf]]])
+        want = _row_logsumexp(a)
+        got = _logsumexp3(np.ascontiguousarray(a.T))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
     @settings(max_examples=150, deadline=None)
     @given(a=_ROWS)

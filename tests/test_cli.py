@@ -380,7 +380,7 @@ class TestSimulateCommand:
 
 
 def _must_not_run(*args, **kwargs):
-    raise AssertionError("ran before the lambda grid inputs were checked")
+    raise AssertionError("ran before the inputs were checked")
 
 
 class TestLambdaGridInputs:
@@ -414,6 +414,47 @@ class TestLambdaGridInputs:
         assert "lambda grid" in capsys.readouterr().err
 
 
+class TestStudyInputs:
+    """A simulate config with no replicate or an unknown method is a usage
+    error (exit 1) found before calibration."""
+
+    @pytest.mark.parametrize("line, message", [
+        ("replications = 0", "replication count"),
+        ("replications = -3", "replication count"),
+        ("methods = bar,ridge", "unknown method 'ridge'")])
+    def test_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
+                                         line, message):
+        import scrbar.cli as cli_mod
+        for name in ("calibrate_censoring", "calibrate_truncation", "run_study"):
+            monkeypatch.setattr(cli_mod, name, _must_not_run)
+        key = line.split(" =")[0]
+        text = "".join(ln for ln in CONFIG.splitlines(keepends=True)
+                       if not ln.startswith(key + " ="))
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(text + line + "\n")
+        assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "bad")]) == 1
+        assert message in capsys.readouterr().err
+
+
+def _child_env():
+    """The environment for a child interpreter that imports the scrbar this
+    process imported, installed or not."""
+    import scrbar
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scrbar.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats is the frailty oracle's alone; importing it with the
+        # package would nearly double the start-up time
+        code = "import sys, scrbar.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["no-such-command"]) == 1
@@ -427,6 +468,6 @@ class TestExitCodes:
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "scrbar.cli", "--help"],
-                              capture_output=True, text=True)
+                              env=_child_env(), capture_output=True, text=True)
         assert proc.returncode == 0
         assert "simulate" in proc.stdout

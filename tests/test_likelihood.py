@@ -356,3 +356,62 @@ class TestPointMemo:
         assert again is not H
         assert np.array_equal(again, want)
         assert np.array_equal(again, BetaLikelihood(data, nuisance).hessian(b.copy()))
+
+
+def _reference_hessian(ev, beta):
+    """The beta Hessian as the per-transition-block loop built it, with the
+    lower triangle of each diagonal block mirrored: the reference the fused
+    V'V - M o U'U must reproduce."""
+    pt = ev._at(beta)
+    core, w = pt.core, pt.shrink_weights()
+    offs, Z = core.offs, core.Z
+    H = np.zeros((core.p, core.p))
+    for k in range(3):
+        for kp in range(k, 3):
+            a = w[:, k] * w[:, kp] / pt.c
+            if kp == k:
+                a = a - w[:, k]
+            blk = Z[k].T @ (a[:, None] * Z[kp])
+            if kp == k:
+                blk = np.tril(blk) + np.tril(blk, -1).T
+            H[offs[k]:offs[k + 1], offs[kp]:offs[kp + 1]] = blk
+            H[offs[kp]:offs[kp + 1], offs[k]:offs[k + 1]] = blk.T
+    return H
+
+
+class TestHessianBlocks:
+    """One routine builds the full beta Hessian and any principal block."""
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_fused_matches_block_loop(self, baseline, seed):
+        data = small_dataset(n=40, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = random_params(data, rng, baseline=baseline)
+        ev = BetaLikelihood(data, params.nuisance)
+        b = params.beta.stacked
+        H, want = ev.hessian(b), _reference_hessian(ev, b)
+        assert np.array_equal(H, H.T)
+        assert np.max(np.abs(H - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_block_is_the_full_matrix_block(self, seed, data):
+        ds = small_dataset(n=40, seed=seed)
+        rng = np.random.default_rng(seed)
+        params = random_params(ds, rng)
+        b = params.beta.stacked
+        idx = np.array(data.draw(st.lists(st.integers(0, ds.p - 1), unique=True)),
+                       dtype=np.intp)
+        idx.sort()
+        ev = BetaLikelihood(ds, params.nuisance)
+        block = ev.hessian(b, idx)
+        full = BetaLikelihood(ds, params.nuisance).hessian(b)
+        assert block.shape == (idx.size, idx.size)
+        assert np.array_equal(block, block.T)
+        assert np.max(np.abs(block - full[np.ix_(idx, idx)]), initial=0.0) <= \
+            1e-13 * np.max(np.abs(full))
+        # a block is never the memoized full matrix, and never changes it
+        block += 1.0
+        assert np.array_equal(ev.hessian(b), full)
