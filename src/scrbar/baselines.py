@@ -98,13 +98,6 @@ class BernsteinBaselineSet:
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "supports", supports)
 
-    @staticmethod
-    def constant(log_rates, supports, degrees=(2, 2, 3)) -> "BernsteinBaselineSet":
-        """Flat log-hazard start: every coefficient of transition j equals
-        log_rates[j] (partition of unity makes the hazard constant)."""
-        coeffs = [np.full(m + 1, lr) for m, lr in zip(degrees, log_rates)]
-        return BernsteinBaselineSet(degrees, coeffs, supports)
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -308,3 +301,12 @@ def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRA
     else:
         raise TypeError(f"unknown baseline spec {type(spec).__name__}")
     return float(out[0]) if scalar else out
+
+
+def _log_hazard(t, spec, j: int):
+    """log baseline hazard of transition j (1-based) at times t > 0, as an
+    array."""
+    if isinstance(spec, WeibullBaselineSet):
+        a = spec.alpha[j - 1]
+        return spec.log_alpha[j - 1] + spec.log_tau[j - 1] + (a - 1.0) * np.log(t)
+    return np.atleast_1d(bernstein_log_hazard(t, spec, j))

@@ -106,6 +106,9 @@ def read_dataset_csv(path):
         except StopIteration:
             raise SchemaError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        repeated = [h for i, h in enumerate(header) if h in header[:i]]
+        if repeated:
+            raise SchemaError(f"{path}: repeated column {repeated[0]!r}")
         for col in _META_COLS:
             if col not in header:
                 raise SchemaError(f"{path}: missing column {col!r}")
@@ -223,15 +226,18 @@ class ExperimentConfig:
 
 
 def _check_study(methods, replications):
-    """Raise ValueError unless there is at least one replicate and one known
-    method; ``parse_experiment_config`` calls it before calibrating."""
+    """Raise ValueError unless there is at least one replicate and one or
+    more known methods, none repeated; ``parse_experiment_config`` calls it
+    before calibrating."""
     if replications < 1:
         raise ValueError("replication count must be at least 1")
     if not methods:
         raise ValueError("at least one method is required")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ("bar", "lasso", "alasso", "oracle"):
             raise ValueError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ValueError(f"repeated method {m!r}")
 
 
 @dataclass(frozen=True)
@@ -551,6 +557,8 @@ def _parse_oracle_support(text, dims):
     for k, p in enumerate(parts):
         if p.size == 0 or p.min() < 0 or p.max() >= dims[k]:
             raise SchemaError(f"--oracle-support block {k + 1} out of range")
+        if np.unique(p).size < p.size:
+            raise SchemaError(f"--oracle-support block {k + 1} repeats an index")
     return parts
 
 

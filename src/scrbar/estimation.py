@@ -1,9 +1,13 @@
 """Unpenalized maximum-likelihood fitting and Bernstein degree selection.
 
 The optimizer works on a fully unconstrained vector: stacked regression
-coefficients, log frailty variance, and either log Weibull parameters or
-Bernstein log-hazard coefficients.  Quasi-Newton (L-BFGS-B with a Wolfe
-line search) drives the fit; the gradient is analytic for every block.
+coefficients, log frailty variance, and a baseline block.  The block is
+picked once per fit from ``FitConfig.baseline``: ``_Weibull`` holds the log
+shape and log rate of each transition, ``_Bernstein`` its log-hazard
+coefficients, and each owns its precomputed tables, bounds, starting
+values and the baseline spec it packs into the fitted parameters.
+Quasi-Newton (L-BFGS-B with a Wolfe line search) drives the fit; the
+gradient is analytic for every block.
 """
 
 from __future__ import annotations
@@ -37,15 +41,18 @@ __all__ = [
     "bernstein_supports",
 ]
 
+# a fit counts as converged when the sup-norm of its projected gradient is
+# below this
+_GTOL = 5e-4
+
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting policy: baseline mode, Bernstein degrees, gradient tolerance,
-    quadrature and truncation convention."""
+    """Fitting policy: baseline mode, Bernstein degrees, quadrature and
+    truncation convention."""
 
     baseline: str = "weibull"           # "weibull" | "bernstein"
     degrees: tuple = (2, 2, 3)
-    gtol: float = 5e-4                  # sup-norm of the gradient at the optimum
     quadrature: QuadratureRule = DEFAULT_QUADRATURE   # Bernstein cumulative hazards
     truncation: str = "calendar"        # "calendar" | "gap"; see likelihood module
 
@@ -54,8 +61,6 @@ class FitConfig:
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
         if self.truncation not in ("gap", "calendar"):
             raise ValueError(f"unknown truncation convention {self.truncation!r}")
-        if self.gtol <= 0:
-            raise ValueError("gradient tolerance must be positive")
         if any(int(m) < 0 for m in self.degrees):
             raise ValueError("Bernstein degrees must be nonnegative")
 
@@ -90,73 +95,32 @@ def bernstein_supports(data: Dataset, truncation: str = "calendar") -> tuple:
     return ((0.0, float(u1)), (0.0, float(u2)), (0.0, max(float(u3), 1e-12)))
 
 
-class _Objective:
-    """Negative log-likelihood and gradient over the packed parameter vector
-    [beta, log gamma, baseline block].
+class _Weibull:
+    """Weibull block of the packed vector: (log alpha_j, log tau_j) for
+    j = 1, 2, 3, with log time tables fixed by the data."""
 
-    The closed form and its beta and log-gamma derivatives come from the
-    likelihood core; this class adds the baseline block's log cumulative
-    hazards and event log-hazards with their derivatives.
-    """
+    size = 6
+    bounds = [(-8.0, 8.0), (-40.0, 20.0)] * 3
 
-    def __init__(self, data: Dataset, cfg: FitConfig):
-        core = self.core = _Core(data, cfg.truncation)
-        self.dims, self.p, self.n = core.dims, core.p, core.n
-        self.cfg = cfg
+    def __init__(self, core):
+        self.core = core
         with np.errstate(divide="ignore"):
             self.log_interval = tuple(np.log(t) for t in core.interval)
             self.log_ev_times = tuple(np.log(t) for t in core.ev_times)
             self.log_entry = None if core.entry is None else np.log(core.entry)
-        if cfg.baseline == "weibull":
-            # log t where the Weibull slope term alpha * log t is finite, else 0
-            self.slope_interval = tuple(np.where(t > 0, lt, 0.0)
-                                        for t, lt in zip(core.interval, self.log_interval))
-            self.slope_entry = (None if core.entry is None
-                                else np.where(core.entry > 0, self.log_entry, 0.0))
-            self.n_base = 6
-        else:
-            self.supports = bernstein_supports(data, cfg.truncation)
-            self.tables = [
-                _BernsteinTable(core.interval[j], cfg.degrees[j],
-                                self.supports[j], cfg.quadrature)
-                for j in range(3)
-            ]
-            self.tables_entry = [
-                _BernsteinTable(core.entry, cfg.degrees[j], self.supports[j],
-                                cfg.quadrature)
-                for j in range(2)
-            ] if core.entry is not None else None
-            self.ev_basis = [
-                bernstein_basis_matrix(core.ev_times[j], cfg.degrees[j],
-                                       *self.supports[j])
-                for j in range(3)
-            ]
-            self.n_base = sum(m + 1 for m in cfg.degrees)
-        self.n_params = self.p + 1 + self.n_base
+        # log t where the Weibull slope term alpha * log t is finite, else 0
+        self.slope_interval = tuple(np.where(t > 0, lt, 0.0)
+                                    for t, lt in zip(core.interval, self.log_interval))
+        self.slope_entry = (None if core.entry is None
+                            else np.where(core.entry > 0, self.log_entry, 0.0))
 
-    # -- packing ---------------------------------------------------------
-    def split(self, theta):
-        beta = theta[:self.p]
-        log_gamma = theta[self.p]
-        base = theta[self.p + 1:]
-        return beta, log_gamma, base
+    @staticmethod
+    def start(log_rates):
+        """alpha = 1: exponential hazards at the given log rates."""
+        return np.array([[0.0, lr] for lr in log_rates]).ravel()
 
-    def _base_blocks(self, base):
-        if self.cfg.baseline == "weibull":
-            return [(base[2 * j], base[2 * j + 1]) for j in range(3)]
-        out, off = [], 0
-        for m in self.cfg.degrees:
-            out.append(base[off:off + m + 1])
-            off += m + 1
-        return out
-
-    # -- evaluation ------------------------------------------------------
-    # Both baselines return, per transition, log Lambda over the exposure
-    # interval, log[Lambda(l) / Lambda(t)] for the calendar adjustment (None
-    # where it does not apply) and the event log-hazard sum, plus a function
-    # of the shrink weights w and the ratios R giving the baseline block's
-    # gradient.
-    def _weibull(self, blocks):
+    def evaluate(self, base):
+        blocks = [(base[2 * j], base[2 * j + 1]) for j in range(3)]
         alphas = [np.exp(la) for la, _ in blocks]
         log_t, log_ratio, ev = [], [], []
         for j, ((la, lt), alpha) in enumerate(zip(blocks, alphas)):
@@ -167,7 +131,7 @@ class _Objective:
             ev.append(float(np.sum(la + lt + (alpha - 1.0) * self.log_ev_times[j])))
 
         def grad(w, ratio):
-            g, dT = [], np.ones(self.n)
+            g, dT = [], np.ones(self.core.n)
             for j, alpha in enumerate(alphas):
                 R = ratio[j]
                 if R is None:
@@ -179,7 +143,40 @@ class _Objective:
             return g
         return log_t, log_ratio, ev, grad
 
-    def _bernstein(self, blocks):
+    def spec(self, base) -> WeibullBaselineSet:
+        return WeibullBaselineSet(log_alpha=base[0::2].copy(), log_tau=base[1::2].copy())
+
+
+class _Bernstein:
+    """Bernstein block of the packed vector: the log-hazard coefficients of
+    transitions 1-3 in turn, with quadrature tables and event bases fixed
+    by the data."""
+
+    def __init__(self, data, core, cfg):
+        self.degrees = cfg.degrees
+        self.size = sum(m + 1 for m in cfg.degrees)
+        self.bounds = [(-40.0, 20.0)] * self.size
+        self.cuts = np.cumsum([m + 1 for m in cfg.degrees])[:2]
+        self.supports = bernstein_supports(data, cfg.truncation)
+
+        def table(t, j):
+            return _BernsteinTable(t, cfg.degrees[j], self.supports[j], cfg.quadrature)
+        self.tables = [table(core.interval[j], j) for j in range(3)]
+        self.tables_entry = (None if core.entry is None
+                             else [table(core.entry, j) for j in range(2)])
+        self.ev_basis = [
+            bernstein_basis_matrix(core.ev_times[j], cfg.degrees[j],
+                                   *self.supports[j])
+            for j in range(3)
+        ]
+
+    def start(self, log_rates):
+        """Flat log-hazards: the basis sums to one, so each transition's
+        hazard is constant at its rate."""
+        return np.concatenate([np.full(m + 1, lr) for m, lr in zip(self.degrees, log_rates)])
+
+    def evaluate(self, base):
+        blocks = np.split(base, self.cuts)
         # each table's quadrature scores feed both log Lambda and its derivative
         scores = [t.scores(phi) for t, phi in zip(self.tables, blocks)]
         log_t = [t.log_cumhaz(sc) for t, sc in zip(self.tables, scores)]
@@ -203,58 +200,58 @@ class _Objective:
             return np.concatenate(g)
         return log_t, log_ratio, ev, grad
 
+    def spec(self, base) -> BernsteinBaselineSet:
+        # the set stores copies of the coefficient blocks
+        return BernsteinBaselineSet(self.degrees, np.split(base, self.cuts), self.supports)
+
+
+class _Objective:
+    """Negative log-likelihood and gradient over the packed parameter vector
+    [beta, log gamma, baseline block].
+
+    The closed form and its beta and log-gamma derivatives come from the
+    likelihood core.  The baseline block is a ``_Weibull`` or a
+    ``_Bernstein``, chosen once from the config; its ``evaluate`` gives,
+    per transition, log Lambda over the exposure interval, log[Lambda(l) /
+    Lambda(t)] for the calendar adjustment (None where it does not apply)
+    and the event log-hazard sum, plus a function of the shrink weights w
+    and the ratios R giving the block's gradient.
+    """
+
+    def __init__(self, data: Dataset, cfg: FitConfig):
+        core = self.core = _Core(data, cfg.truncation)
+        self.p = core.p
+        self.base = _Weibull(core) if cfg.baseline == "weibull" else _Bernstein(data, core, cfg)
+        self.n_params = self.p + 1 + self.base.size
+
     def value_and_grad(self, theta):
-        beta, log_gamma, base = self.split(theta)
-        baseline = self._weibull if self.cfg.baseline == "weibull" else self._bernstein
-        log_t, log_ratio, ev, base_grad = baseline(self._base_blocks(base))
+        p = self.p
+        log_t, log_ratio, ev, base_grad = self.base.evaluate(theta[p + 1:])
         lb, ratio = self.core.log_bases(log_t, log_ratio)
-        pt = _Point(self.core, beta, log_gamma, lb)
+        pt = _Point(self.core, theta[:p], theta[p], lb)
         w = pt.shrink_weights()
         g = np.concatenate([self.core.grad_beta(w), [pt.dlog_gamma()], base_grad(w, ratio)])
         return -pt.loglik(ev), -g
 
-    # -- starting point ---------------------------------------------------
     def initial_point(self):
-        theta = np.zeros(self.n_params)
-        theta[self.p] = np.log(0.5)                      # gamma = 0.5
+        """beta = 0, gamma = 0.5 and constant hazards at the crude event rates."""
         exposure12 = max(float(np.sum(self.core.gap12)), 1e-12)
         exposure3 = max(float(np.sum(self.core.sojourn)), 1e-12)
-        rates = [max(float(self.core.ev_mask[j].sum()), 0.5) / exposure
-                 for j, exposure in enumerate((exposure12, exposure12, exposure3))]
-        if self.cfg.baseline == "weibull":
-            for j in range(3):
-                theta[self.p + 1 + 2 * j] = 0.0          # alpha = 1
-                theta[self.p + 2 + 2 * j] = np.log(rates[j])
-        else:
-            off = self.p + 1
-            for j, m in enumerate(self.cfg.degrees):
-                theta[off:off + m + 1] = np.log(rates[j])
-                off += m + 1
-        return theta
+        log_rates = [np.log(max(float(self.core.ev_mask[j].sum()), 0.5) / exposure)
+                     for j, exposure in enumerate((exposure12, exposure12, exposure3))]
+        return np.concatenate([np.zeros(self.p), [np.log(0.5)], self.base.start(log_rates)])
 
     def bounds(self):
         # the log frailty-variance cap blocks the spike degeneracy where
         # unbounded heterogeneity memorizes every event time
-        bnds = [(-30.0, 30.0)] * self.p + [(-12.0, 2.5)]
-        if self.cfg.baseline == "weibull":
-            for _ in range(3):
-                bnds += [(-8.0, 8.0), (-40.0, 20.0)]
-        else:
-            bnds += [(-40.0, 20.0)] * self.n_base
-        return bnds
+        return [(-30.0, 30.0)] * self.p + [(-12.0, 2.5)] + self.base.bounds
 
     def build_params(self, theta) -> ModelParameters:
-        beta, log_gamma, base = self.split(theta)
-        blocks = self._base_blocks(base)
-        if self.cfg.baseline == "weibull":
-            spec = WeibullBaselineSet(
-                log_alpha=np.array([b[0] for b in blocks]),
-                log_tau=np.array([b[1] for b in blocks]))
-        else:
-            spec = BernsteinBaselineSet(self.cfg.degrees, blocks, self.supports)
+        p = self.p
         return ModelParameters(
-            beta=RegressionCoefficients.from_stacked(beta, self.dims),
-            nuisance=NuisanceParameters(gamma=float(np.exp(log_gamma)), baseline=spec))
+            beta=RegressionCoefficients.from_stacked(theta[:p], self.core.dims),
+            nuisance=NuisanceParameters(gamma=float(np.exp(theta[p])),
+                                        baseline=self.base.spec(theta[p + 1:])))
 
 
 def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
@@ -276,7 +273,7 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
         obj.value_and_grad, x0, jac=True, method="L-BFGS-B",
         bounds=bounds,
         options={"maxiter": 600, "ftol": 1e-12,
-                 "gtol": cfg.gtol / 10.0, "maxls": 60, "maxcor": 20})
+                 "gtol": _GTOL / 10.0, "maxls": 60, "maxcor": 20})
     _, grad = obj.value_and_grad(res.x)
     # projected gradient: components pushing against an active bound don't count
     lo, hi = np.array(bounds).T
@@ -286,7 +283,7 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
     return FitResult(
         params=obj.build_params(res.x),
         loglik=-float(res.fun),
-        converged=bool(grad_norm < cfg.gtol),
+        converged=bool(grad_norm < _GTOL),
         n_iter=int(res.nit),
         grad_norm=grad_norm)
 

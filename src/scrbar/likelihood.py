@@ -42,9 +42,8 @@ import scipy.linalg
 from .baselines import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
-    WeibullBaselineSet,
+    _log_hazard,
     _logsumexp3,
-    bernstein_log_hazard,
     cumulative_hazard,
     log_cumulative_hazard,
 )
@@ -96,14 +95,6 @@ def _check_beta(beta, p):
     if not np.isfinite(beta).all():
         raise ValueError("non-finite regression coefficient")
     return beta
-
-
-def _log_event_hazard(spec, j, t):
-    """log lam0j at event times t (t > 0 assumed)."""
-    if isinstance(spec, WeibullBaselineSet):
-        a = spec.alpha[j - 1]
-        return spec.log_alpha[j - 1] + spec.log_tau[j - 1] + (a - 1.0) * np.log(t)
-    return np.atleast_1d(bernstein_log_hazard(t, spec, j))
 
 
 class _Core:
@@ -253,7 +244,7 @@ class BetaLikelihood:
             log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1, quad) - log_t[j]
                              for j in range(2)]
         self.log_base, _ = core.log_bases(log_t, log_ratio)
-        self.ev = [float(np.sum(_log_event_hazard(spec, j + 1, core.ev_times[j])))
+        self.ev = [float(np.sum(_log_hazard(core.ev_times[j], spec, j + 1)))
                    for j in range(3)]
         self._key = self._point = None
 
@@ -351,16 +342,16 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
 
     log_a = 0.0
     if rec.delta1 == 1:
-        log_a += float(_log_event_hazard(spec, 1, np.array([rec.y1]))[0])
+        log_a += float(_log_hazard(np.array([rec.y1]), spec, 1)[0])
         log_a += float(b.beta1 @ rec.z1)
     if rec.delta1 == 0 and rec.delta2 == 1:
-        log_a += float(_log_event_hazard(spec, 2, np.array([rec.y2]))[0])
+        log_a += float(_log_hazard(np.array([rec.y2]), spec, 2)[0])
         log_a += float(b.beta2 @ rec.z2)
     if rec.delta1 == 1 and rec.delta2 == 1:
         soj = rec.y2 - rec.y1
         if soj <= 0:
             raise DegenerateRecordError("zero sojourn with both events observed")
-        log_a += float(_log_event_hazard(spec, 3, np.array([soj]))[0])
+        log_a += float(_log_hazard(np.array([soj]), spec, 3)[0])
         log_a += float(b.beta3 @ rec.z3)
 
     # imported on first use: this oracle is its only user, and importing it

@@ -62,6 +62,13 @@ class TestCsvIo:
         with pytest.raises(SchemaError, match="row 2.*delta2"):
             read_dataset_csv(str(path))
 
+    def test_repeated_column_named(self, tmp_path):
+        # both z_1 would be read from the second position, losing the first
+        path = tmp_path / "bad.csv"
+        path.write_text("l,y1,delta1,y2,delta2,z_1,z_1,z_3\n0,1,1,2,0,0.5,-0.5,1\n")
+        with pytest.raises(SchemaError, match="repeated column 'z_1'"):
+            read_dataset_csv(str(path))
+
     def test_invalid_records_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("l,y1,delta1,y2,delta2,z_1\n5,1,0,1,0,0.5\n")
@@ -225,6 +232,17 @@ class TestSelectCommand:
         rc = main(["select", path, "--method", "oracle",
                    "--out", str(tmp_path / "x")])
         assert rc == 1
+
+    def test_oracle_repeated_index_rejected(self, sim_csv, tmp_path, monkeypatch,
+                                            capsys):
+        # fitting z_1 twice would split its coefficient between the copies
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "oracle_fit", _must_not_run)
+        path, _, _ = sim_csv
+        rc = main(["select", path, "--method", "oracle", "--baseline", "weibull",
+                   "--oracle-support", "1,1,2;1,2;1,2", "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "block 1 repeats an index" in capsys.readouterr().err
 
     def test_select_honours_bic_degrees(self, tmp_path, monkeypatch):
         data = small_dataset(n=80, d=3, seed=73)
@@ -415,13 +433,14 @@ class TestLambdaGridInputs:
 
 
 class TestStudyInputs:
-    """A simulate config with no replicate or an unknown method is a usage
-    error (exit 1) found before calibration."""
+    """A simulate config with no replicate, or an unknown or repeated
+    method, is a usage error (exit 1) found before calibration."""
 
     @pytest.mark.parametrize("line, message", [
         ("replications = 0", "replication count"),
         ("replications = -3", "replication count"),
-        ("methods = bar,ridge", "unknown method 'ridge'")])
+        ("methods = bar,ridge", "unknown method 'ridge'"),
+        ("methods = bar,bar", "repeated method 'bar'")])
     def test_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
                                          line, message):
         import scrbar.cli as cli_mod

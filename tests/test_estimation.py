@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from scrbar import (
     FitConfig,
@@ -13,7 +16,7 @@ from scrbar import (
     scenario_diverging_p,
     simulate_dataset,
 )
-from scrbar.estimation import _Objective, bernstein_supports
+from scrbar.estimation import _GTOL, _Objective, bernstein_supports
 from _helpers import small_dataset, small_scenario
 
 
@@ -43,6 +46,29 @@ class TestFullGradient:
             assert g[j] == pytest.approx(fd, rel=2e-5, abs=1e-7)
 
 
+_PACKING_DATA = small_dataset(n=40, d=3, seed=57, trunc_upper=1.0)
+
+
+class TestPacking:
+    """Each baseline block packs theta and unpacks it into the fitted
+    parameters consistently, away from the optimum too."""
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("truncation", ["gap", "calendar"])
+    @settings(max_examples=20, deadline=None)
+    @given(draw=st.data())
+    def test_objective_is_loglik_of_built_params(self, baseline, truncation, draw):
+        cfg = FitConfig(baseline=baseline, truncation=truncation)
+        obj = _Objective(_PACKING_DATA, cfg)
+        x0 = obj.initial_point()
+        bounds = obj.bounds()
+        assert len(bounds) == obj.n_params
+        assert all(lo <= x <= hi for x, (lo, hi) in zip(x0, bounds))
+        theta = x0 + draw.draw(arrays(float, obj.n_params, elements=st.floats(-0.5, 0.5)))
+        ll = log_likelihood(obj.build_params(theta), _PACKING_DATA, truncation=truncation)
+        assert -obj.value_and_grad(theta)[0] == pytest.approx(ll, rel=1e-10)
+
+
 class TestFitUnpenalized:
     def test_ascent_over_initial_point(self):
         data = small_dataset(n=80, d=4, seed=52)
@@ -56,7 +82,7 @@ class TestFitUnpenalized:
         data = small_dataset(n=100, d=3, seed=53)
         fr = fit_unpenalized(data, FitConfig(baseline="weibull"))
         assert fr.converged
-        assert fr.grad_norm < FitConfig().gtol
+        assert fr.grad_norm < _GTOL
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     @pytest.mark.parametrize("truncation", ["gap", "calendar"])
