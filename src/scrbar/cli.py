@@ -506,18 +506,20 @@ def _fit_config_from_args(args, data) -> FitConfig:
     return cfg
 
 
-def _load(args):
-    """Data, column names and fit policy of a ``fit`` or ``select`` call."""
+def _read(args):
+    """Data and column names of a ``fit`` or ``select`` call; makes the
+    output directory."""
     data, names = read_dataset_csv(args.csv)
-    if getattr(args, "standardize", False):
+    if args.standardize:
         data = standardize_covariates(data)
     os.makedirs(args.out, exist_ok=True)
-    return data, names, _fit_config_from_args(args, data)
+    return data, names
 
 
 def cmd_fit(args) -> int:
     """Unpenalized fit (optionally BIC-selected Bernstein degrees)."""
-    data, names, cfg = _load(args)
+    data, names = _read(args)
+    cfg = _fit_config_from_args(args, data)
     fr = fit_unpenalized(data, cfg)
 
     report = os.path.join(args.out, "fit_report.txt")
@@ -564,7 +566,12 @@ def _parse_oracle_support(text, dims):
 
 def cmd_select(args) -> int:
     """Penalized selection with GCV-tuned lambda (or an oracle refit)."""
-    data, names, cfg = _load(args)
+    if args.method == "oracle" and not args.oracle_support:
+        raise SchemaError("method 'oracle' requires --oracle-support")
+    data, names = _read(args)
+    if args.method == "oracle":
+        keeps = _parse_oracle_support(args.oracle_support, data.dims)
+    cfg = _fit_config_from_args(args, data)
     grid = default_lambda_grid(len(data), args.lambda_min, args.lambda_max,
                                args.lambda_count)
     nu = fit_unpenalized(data, cfg)
@@ -572,9 +579,6 @@ def cmd_select(args) -> int:
     eps = PenaltyConfig().zero_threshold
 
     if args.method == "oracle":
-        if not args.oracle_support:
-            raise SchemaError("method 'oracle' requires --oracle-support")
-        keeps = _parse_oracle_support(args.oracle_support, data.dims)
         beta_hat, _ = oracle_fit(data, keeps, cfg)
         chosen = np.nan
     else:

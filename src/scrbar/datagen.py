@@ -15,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import weibull_inverse_cumhaz
 from .domain import Dataset, RegressionCoefficients, SubjectRecord
 
 __all__ = [
@@ -76,6 +75,10 @@ class SimulationScenario:
             raise ValueError("frailty variance must be positive")
         if self.design not in ("ar1", "grouped"):
             raise ValueError(f"unknown covariate design {self.design!r}")
+        if not 0.0 < self.censor_upper < np.inf:
+            raise ValueError("censor_upper must be finite and positive")
+        if not 0.0 <= self.trunc_upper < np.inf:
+            raise ValueError("trunc_upper must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -160,42 +163,65 @@ def gen_covariates_grouped(n: int, rho: float,
     return Z
 
 
-def _draw_latent(scenario, z1, z2, z3, rng):
-    """One frailty-conditional draw of (non-terminal time, terminal time)."""
+def _inverse_cumhaz(x, tau, inv_alpha):
+    """``weibull_inverse_cumhaz(x, alpha, tau)`` on numpy float64 scalars,
+    with inv_alpha = 1/alpha.  There ``x / tau`` is a numpy scalar too, so
+    both take numpy's scalar power.  numpy's power on arrays, and
+    ``math.exp``/``math.log1p`` against numpy's, round some inputs
+    differently: using them in the draw would change the simulated data."""
+    if x < 0:
+        raise ValueError("negative argument in weibull_inverse_cumhaz")
+    return float((x / tau) ** inv_alpha)
+
+
+def _sampler(scenario, rng):
+    """The subject draw of ``scenario`` on ``rng``: a function of (z1, z2, z3)
+    returning (l, y1, delta1, y2, delta2) of one accepted subject.
+
+    Each attempt draws, in this order: the gamma frailty, two uniforms for
+    the race of the non-terminal and direct-terminal times, a third uniform
+    for the sojourn of a non-terminal winner, the censoring time, and the
+    entry time when truncation is on.  The scenario constants are computed
+    once per call and the three relative risks once per subject; the draws
+    and their arithmetic are those of earlier versions, so seeded data
+    reproduce bit for bit.
+    """
     alpha = np.exp(scenario.log_alpha)
-    tau = np.exp(scenario.log_tau)
-    b = scenario.beta
-    w = rng.gamma(shape=1.0 / scenario.gamma, scale=scenario.gamma)
-    u1, u2 = rng.uniform(size=2)
-    t1 = weibull_inverse_cumhaz(-np.log1p(-u1) / (w * np.exp(b.beta1 @ z1)),
-                                alpha[0], tau[0])
-    t2_direct = weibull_inverse_cumhaz(-np.log1p(-u2) / (w * np.exp(b.beta2 @ z2)),
-                                       alpha[1], tau[1])
-    if t1 >= t2_direct:
-        return np.inf, t2_direct
-    u3 = rng.uniform()
-    t3 = weibull_inverse_cumhaz(-np.log1p(-u3) / (w * np.exp(b.beta3 @ z3)),
-                                alpha[2], tau[2])
-    return t1, t1 + t3
+    (tau1, tau2, tau3), (ia1, ia2, ia3) = np.exp(scenario.log_tau), 1.0 / alpha
+    shape, scale = 1.0 / scenario.gamma, scenario.gamma
+    b1, b2, b3 = scenario.beta.beta1, scenario.beta.beta2, scenario.beta.beta3
+    c_hi, l_hi = float(scenario.censor_upper), float(scenario.trunc_upper)
+    frailty, uniform, log1p, exp = rng.gamma, rng.random, np.log1p, np.exp
 
+    def draw(z1, z2, z3):
+        # one 1-d dot product per row, as before: Z @ beta rounds some rows
+        # differently
+        r1, r2, r3 = exp(b1.dot(z1)), exp(b2.dot(z2)), exp(b3.dot(z3))
+        for _ in range(_MAX_DRAWS_PER_SUBJECT):
+            w = frailty(shape, scale)
+            t1 = _inverse_cumhaz(-log1p(-uniform()) / (w * r1), tau1, ia1)
+            t2 = _inverse_cumhaz(-log1p(-uniform()) / (w * r2), tau2, ia2)
+            if t1 >= t2:
+                t1 = np.inf
+            else:
+                t2 = t1 + _inverse_cumhaz(-log1p(-uniform()) / (w * r3), tau3, ia3)
+            # Generator.uniform(low, high) returns low + (high - low) * U for
+            # U = Generator.random(); the same arithmetic on the same U
+            c = 0.0 + c_hi * uniform()
+            y1 = min(t1, t2, c)
+            delta1 = int(t1 <= min(t2, c))
+            y2 = min(t2, c)
+            delta2 = int(t2 <= c)
+            if l_hi == 0.0:
+                return 0.0, y1, delta1, y2, delta2
+            l = 0.0 + l_hi * uniform()
+            if l < y1:
+                return l, y1, delta1, y2, delta2
+        raise ScenarioError(
+            f"subject acceptance below {100.0 / _MAX_DRAWS_PER_SUBJECT:.2f}% "
+            f"(trunc_upper={scenario.trunc_upper})")
 
-def _draw_subject(scenario, z1, z2, z3, rng):
-    """(l, y1, delta1, y2, delta2) of one accepted subject; see simulate_subject."""
-    for _ in range(_MAX_DRAWS_PER_SUBJECT):
-        t1, t2 = _draw_latent(scenario, z1, z2, z3, rng)
-        c = rng.uniform(0.0, scenario.censor_upper)
-        y1 = min(t1, t2, c)
-        delta1 = int(t1 <= min(t2, c))
-        y2 = min(t2, c)
-        delta2 = int(t2 <= c)
-        if scenario.trunc_upper <= 0.0:
-            return 0.0, y1, delta1, y2, delta2
-        l = rng.uniform(0.0, scenario.trunc_upper)
-        if l < y1:
-            return l, y1, delta1, y2, delta2
-    raise ScenarioError(
-        f"subject acceptance below {100.0 / _MAX_DRAWS_PER_SUBJECT:.2f}% "
-        f"(trunc_upper={scenario.trunc_upper})")
+    return draw
 
 
 def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
@@ -206,7 +232,7 @@ def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
     observable (L < Y1); covariates stay fixed.  Truncation disabled
     (trunc_upper = 0) means entry at time zero with no rejection.
     """
-    return SubjectRecord(*_draw_subject(scenario, z1, z2, z3, rng), z1, z2, z3)
+    return SubjectRecord(*_sampler(scenario, rng)(z1, z2, z3), z1, z2, z3)
 
 
 def _covariates(scenario, rng):
@@ -224,7 +250,8 @@ def simulate_dataset(scenario: SimulationScenario,
     if rng is None:
         rng = np.random.default_rng(scenario.seed)
     Z = _covariates(scenario, rng)
-    rows = [_draw_subject(scenario, z, z, z, rng) for z in Z]
+    draw = _sampler(scenario, rng)
+    rows = [draw(z, z, z) for z in Z]
     return Dataset.from_arrays(*np.array(rows).T, Z, Z, Z)
 
 
@@ -240,9 +267,13 @@ def calibrate_censoring(scenario: SimulationScenario, target: float,
     """Censoring-law upper bound reproducing the target delta2-censoring rate.
 
     Bisects on the Uniform(0, c) scale against a Monte Carlo probe with
-    common random numbers (one probe seed reused for every candidate c, so
-    the empirical rate is monotone in c up to resampling of rejected
-    subjects).
+    common random numbers: one probe seed is reused for every candidate c.
+    Without truncation (trunc_upper = 0) no subject is rejected, so every
+    candidate draws the same event times and censoring uniforms U, and C =
+    c U only rescales; the empirical rate is then exactly non-increasing in
+    c.  With truncation, whether a subject is rejected depends on c, a
+    rejection shifts the stream for every later subject, and the rate is
+    monotone only up to that resampling.
     """
     if not 0.0 < target < 1.0:
         raise ValueError("target censoring rate must be in (0, 1)")

@@ -233,6 +233,21 @@ class TestSelectCommand:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
+    @pytest.mark.parametrize("support, message", [
+        (None, "requires --oracle-support"), ("1,2;1,99;1", "block 2 out of range")])
+    def test_oracle_support_checked_before_fitting(self, sim_csv, tmp_path, monkeypatch,
+                                                   capsys, support, message):
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+        monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
+        path, _, _ = sim_csv
+        argv = ["select", path, "--method", "oracle", "--baseline", "bernstein",
+                "--degrees", "bic", "--out", str(tmp_path / "x")]
+        if support is not None:
+            argv += ["--oracle-support", support]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
     def test_oracle_repeated_index_rejected(self, sim_csv, tmp_path, monkeypatch,
                                             capsys):
         # fitting z_1 twice would split its coefficient between the copies

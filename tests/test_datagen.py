@@ -16,7 +16,9 @@ from scrbar import (
     simulate_subject,
     validate_dataset,
 )
-from scrbar.datagen import GROUP_LAYOUT, ScenarioError, calibrate_truncation
+from scrbar.baselines import weibull_inverse_cumhaz
+from scrbar.datagen import (GROUP_LAYOUT, ScenarioError, _censoring_rate,
+                            _covariates, calibrate_truncation)
 from _helpers import small_scenario
 
 
@@ -108,12 +110,12 @@ class TestSimulateSubject:
         assert abs(wins / 10000 - 1.0 / 3.0) < 0.02
 
     def test_immediate_censoring(self):
-        scen = replace(small_scenario(n=1), censor_upper=0.0, trunc_upper=0.0)
+        scen = replace(small_scenario(n=1), censor_upper=1e-300, trunc_upper=0.0)
         rng = np.random.default_rng(9)
         z = np.zeros(len(scen.beta.beta1))
         rec = simulate_subject(scen, z, z, z, rng)
         assert (rec.delta1, rec.delta2) == (0, 0)
-        assert rec.y1 == rec.y2 == 0.0
+        assert rec.y1 == rec.y2 <= 1e-300
 
     def test_truncation_rejection_keeps_l_below_y1(self):
         scen = small_scenario(n=1, trunc_upper=2.0, seed=10)
@@ -179,6 +181,105 @@ class TestSimulateDataset:
         assert GROUP_LAYOUT == ((0, 1), (2, 3), (4, 5, 6), (7, 8, 9))
 
 
+class TestScenarioBounds:
+    @pytest.mark.parametrize("field, value", [
+        ("censor_upper", 0.0), ("censor_upper", -1.0), ("censor_upper", np.nan),
+        ("censor_upper", np.inf), ("trunc_upper", -1.0), ("trunc_upper", np.nan),
+        ("trunc_upper", np.inf)])
+    def test_bad_bound_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(small_scenario(n=1), **{field: value})
+
+
+def _reference_latent(scenario, z1, z2, z3, rng):
+    # the per-attempt draw of earlier versions, kept as the reference
+    alpha = np.exp(scenario.log_alpha)
+    tau = np.exp(scenario.log_tau)
+    b = scenario.beta
+    w = rng.gamma(shape=1.0 / scenario.gamma, scale=scenario.gamma)
+    u1, u2 = rng.uniform(size=2)
+    t1 = weibull_inverse_cumhaz(-np.log1p(-u1) / (w * np.exp(b.beta1 @ z1)),
+                                alpha[0], tau[0])
+    t2_direct = weibull_inverse_cumhaz(-np.log1p(-u2) / (w * np.exp(b.beta2 @ z2)),
+                                       alpha[1], tau[1])
+    if t1 >= t2_direct:
+        return np.inf, t2_direct
+    u3 = rng.uniform()
+    t3 = weibull_inverse_cumhaz(-np.log1p(-u3) / (w * np.exp(b.beta3 @ z3)),
+                                alpha[2], tau[2])
+    return t1, t1 + t3
+
+
+def _reference_subject(scenario, z1, z2, z3, rng, attempts):
+    for _ in range(2000):
+        attempts.append(1)
+        t1, t2 = _reference_latent(scenario, z1, z2, z3, rng)
+        c = rng.uniform(0.0, scenario.censor_upper)
+        y1 = min(t1, t2, c)
+        delta1 = int(t1 <= min(t2, c))
+        y2 = min(t2, c)
+        delta2 = int(t2 <= c)
+        if scenario.trunc_upper <= 0.0:
+            return 0.0, y1, delta1, y2, delta2
+        l = rng.uniform(0.0, scenario.trunc_upper)
+        if l < y1:
+            return l, y1, delta1, y2, delta2
+    raise ScenarioError(
+        f"subject acceptance below 0.05% (trunc_upper={scenario.trunc_upper})")
+
+
+class TestSamplerMatchesReference:
+    """The sampler makes the reference's Generator calls in the same order
+    with the same arithmetic: seeded data are equal bit for bit."""
+
+    @pytest.mark.parametrize("make, rejects", [
+        (lambda s: scenario_diverging_p(200, censor_upper=5.0, seed=s), False),
+        (lambda s: scenario_diverging_p(200, censor_upper=32.0, trunc_upper=0.1,
+                                        seed=s), True),
+        (lambda s: scenario_grouped(200, rho=0.8, censor_upper=20.0,
+                                    trunc_upper=0.3, seed=s), True)],
+        ids=["diverging", "diverging-truncated", "grouped-truncated"])
+    def test_datasets_bitwise_equal(self, make, rejects):
+        attempts = []
+        for seed in range(6):
+            scen = make(seed)
+            data = simulate_dataset(scen)
+            rng = np.random.default_rng(seed)
+            Z = _covariates(scen, rng)
+            rows = [_reference_subject(scen, z, z, z, rng, attempts) for z in Z]
+            ref = (*np.array(rows).T, Z, Z, Z)
+            for name, col in zip(("l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3"),
+                                 ref):
+                assert getattr(data, name).tobytes() == col.tobytes(), (seed, name)
+        assert (len(attempts) > 6 * 200) == rejects
+
+    def test_subjects_with_distinct_covariates(self):
+        scen = small_scenario(n=1, d=4, seed=31, trunc_upper=4.0)
+        z_rng = np.random.default_rng(31)
+        for seed in range(4):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            attempts = []
+            for _ in range(50):
+                z1, z2, z3 = z_rng.normal(size=(3, 4))
+                rec = simulate_subject(scen, z1, z2, z3, rng)
+                got = np.array([rec.l, rec.y1, rec.delta1, rec.y2, rec.delta2])
+                want = np.array(_reference_subject(scen, z1, z2, z3, ref_rng, attempts))
+                assert got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            assert len(attempts) > 50
+
+    def test_scenario_error_after_the_same_draws(self):
+        scen = replace(small_scenario(n=1), trunc_upper=1e12)
+        z = np.full(len(scen.beta.beta1), 0.3)
+        rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
+        with pytest.raises(ScenarioError) as got:
+            simulate_subject(scen, z, z, z, rng)
+        with pytest.raises(ScenarioError) as want:
+            _reference_subject(scen, z, z, z, ref_rng, [])
+        assert str(got.value) == str(want.value)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestCensoringCalibration:
     def test_target_rate_reproduced(self):
         scen = scenario_diverging_p(300, censor_upper=1.0, seed=19)
@@ -197,6 +298,16 @@ class TestCensoringCalibration:
                                     rng=np.random.default_rng(7))
             rates.append(1.0 - np.mean([r.delta2 for r in data.records]))
         assert rates[0] > rates[1] > rates[2]
+
+    def test_untruncated_probe_monotone_in_bound(self):
+        # without truncation nothing is rejected, so every candidate bound
+        # draws the same subjects from the probe seed and rescales one
+        # censoring uniform per subject: the rate cannot go up with the bound
+        scen = scenario_diverging_p(300, censor_upper=1.0, seed=24)
+        bounds = np.geomspace(0.5, 500.0, 25)
+        rates = [_censoring_rate(scen, c, 24, 1000) for c in bounds]
+        assert all(a >= b for a, b in zip(rates, rates[1:]))
+        assert rates[0] > rates[-1]
 
     def test_degenerate_target_rejected(self):
         scen = scenario_diverging_p(100, censor_upper=1.0, seed=21)
