@@ -222,15 +222,17 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        _check_study(self.methods, self.replications)
+        _check_study(self.methods, self.replications, self.jobs)
 
 
-def _check_study(methods, replications):
-    """Raise ValueError unless there is at least one replicate and one or
-    more known methods, none repeated; ``parse_experiment_config`` calls it
-    before calibrating."""
+def _check_study(methods, replications, jobs):
+    """Raise ValueError unless there is at least one replicate, at least one
+    worker, and one or more known methods, none repeated;
+    ``parse_experiment_config`` calls it before calibrating."""
     if replications < 1:
         raise ValueError("replication count must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not methods:
         raise ValueError("at least one method is required")
     for i, m in enumerate(methods):
@@ -401,7 +403,7 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         if truncation not in ("calendar", "gap"):
             raise SchemaError(f"{path}: truncation must be calendar or gap")
         grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
-        _check_study(methods, reps)
+        _check_study(methods, reps, jobs)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     scenario = resolve_scenario(n, design, rho, censoring, trunc_fraction, seed)
@@ -709,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", help="replicated simulation study")
     m.add_argument("config")
-    m.add_argument("--jobs", type=int, default=None)
+    m.add_argument("--jobs", type=_positive(int), default=None)
     m.add_argument("--seed", type=int, default=None,
                    help="override the config seed")
     m.add_argument("--out", default=None)

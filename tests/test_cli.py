@@ -448,12 +448,14 @@ class TestLambdaGridInputs:
 
 
 class TestStudyInputs:
-    """A simulate config with no replicate, or an unknown or repeated
-    method, is a usage error (exit 1) found before calibration."""
+    """A simulate config with no replicate, no worker, or an unknown or
+    repeated method, is a usage error (exit 1) found before calibration."""
 
     @pytest.mark.parametrize("line, message", [
         ("replications = 0", "replication count"),
         ("replications = -3", "replication count"),
+        ("jobs = 0", "jobs must be at least 1"),
+        ("jobs = -3", "jobs must be at least 1"),
         ("methods = bar,ridge", "unknown method 'ridge'"),
         ("methods = bar,bar", "repeated method 'bar'")])
     def test_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
@@ -468,6 +470,18 @@ class TestStudyInputs:
         cfg_path.write_text(text + line + "\n")
         assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "bad")]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_jobs_flag_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
+                                                   value):
+        import scrbar.cli as cli_mod
+        for name in ("calibrate_censoring", "calibrate_truncation", "run_study"):
+            monkeypatch.setattr(cli_mod, name, _must_not_run)
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(CONFIG)
+        assert main(["simulate", str(cfg_path), "--jobs", value,
+                     "--out", str(tmp_path / "bad")]) == 1
+        assert "--jobs" in capsys.readouterr().err
 
 
 def _child_env():
