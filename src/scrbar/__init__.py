@@ -51,12 +51,11 @@ from .selection import (
     PenaltyConfig,
     PenalizedEstimate,
     alasso_weights,
-    bar_solve,
     bar_step,
     default_lambda_grid,
     effective_params,
     gcv_select,
-    l1_solve,
+    penalized_solve,
 )
 from .datagen import (
     ReplicateSeedPlan,

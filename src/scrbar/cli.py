@@ -273,8 +273,7 @@ def _replicate(config: ExperimentConfig, index: int):
             lam = np.nan
         else:
             pcfg = PenaltyConfig(kind=method, lambda_grid=config.lambda_grid)
-            res = gcv_select(data, nu, pcfg, config.fit.quadrature,
-                             config.fit.truncation)
+            res = gcv_select(data, nu, pcfg)
             beta_hat, lam = res.best.beta_hat, res.best_lambda
         eps = PenaltyConfig().zero_threshold
         tp, fp, mcv = confusion_counts(beta_hat, truth_stacked, eps)
@@ -363,6 +362,20 @@ def _parse_kv(path):
     return out
 
 
+def _check_scenario(n, design, rho, censoring, trunc_fraction):
+    """Raise ValueError unless the scenario settings can be calibrated."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if design not in ("ar1", "grouped"):
+        raise ValueError(f"unknown design {design!r}")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    if not 0.0 < censoring < 1.0:
+        raise ValueError("censoring must lie in (0, 1)")
+    if not 0.0 <= trunc_fraction < np.inf:
+        raise ValueError("trunc_fraction must be finite and non-negative")
+
+
 def resolve_scenario(n, design, rho, censor_target, trunc_fraction, seed):
     """Build a fully calibrated scenario: censoring first without
     truncation, then the truncation bound, then censoring again under it."""
@@ -399,15 +412,14 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         lam_count = int(kv.get("lambda_count", "30"))
         jobs = int(kv.get("jobs", "1"))
         out_dir = kv.get("out", ".")
-        truncation = kv.get("truncation", "calendar")
-        if truncation not in ("calendar", "gap"):
-            raise SchemaError(f"{path}: truncation must be calendar or gap")
+        fit = FitConfig(baseline=baseline, degrees=degrees,
+                        truncation=kv.get("truncation", "calendar"))
         grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
+        _check_scenario(n, design, rho, censoring, trunc_fraction)
         _check_study(methods, reps, jobs)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     scenario = resolve_scenario(n, design, rho, censoring, trunc_fraction, seed)
-    fit = FitConfig(baseline=baseline, degrees=degrees, truncation=truncation)
     return ExperimentConfig(scenario=scenario, methods=methods, replications=reps,
                             fit=fit, lambda_grid=grid, out_dir=out_dir, jobs=jobs)
 
@@ -585,7 +597,7 @@ def cmd_select(args) -> int:
         chosen = np.nan
     else:
         pcfg = PenaltyConfig(kind=args.method, lambda_grid=grid)
-        res = gcv_select(data, nu, pcfg, cfg.quadrature, cfg.truncation)
+        res = gcv_select(data, nu, pcfg)
         beta_hat, chosen = res.best.beta_hat, res.best_lambda
         header = ["lambda", "n_selected", "s", "loglik", "gcv", "ok", "note",
                   "converged", "n_iter", "jitter"]

@@ -61,19 +61,24 @@ class FitConfig:
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
         if self.truncation not in ("gap", "calendar"):
             raise ValueError(f"unknown truncation convention {self.truncation!r}")
+        if len(self.degrees) != 3:
+            raise ValueError("Bernstein degrees must be one per transition (m1, m2, m3)")
         if any(int(m) < 0 for m in self.degrees):
             raise ValueError("Bernstein degrees must be nonnegative")
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus convergence diagnostics."""
+    """Fitted parameters plus convergence diagnostics, and the ``FitConfig``
+    the fit used: selection evaluates the likelihood with its quadrature
+    and truncation convention."""
 
     params: ModelParameters
     loglik: float
     converged: bool
     n_iter: int
     grad_norm: float
+    config: FitConfig
 
 
 def bernstein_supports(data: Dataset, truncation: str = "calendar") -> tuple:
@@ -285,7 +290,7 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
         loglik=-float(res.fun),
         converged=bool(grad_norm < _GTOL),
         n_iter=int(res.nit),
-        grad_norm=grad_norm)
+        grad_norm=grad_norm, config=cfg)
 
 
 def bic_degree_select(data: Dataset, candidates, cfg: FitConfig = FitConfig()):

@@ -384,19 +384,19 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
     return float(np.exp(hmax + np.log(val) + log_a))
 
 
-def pseudo_data(beta, u, H, max_jitter_doublings: int = 20) -> PseudoData:
+def pseudo_data(beta, u, H) -> PseudoData:
     """Cholesky pseudo-design and pseudo-response from a gradient/Hessian pair.
 
     Factorizes J = -H as X'X (X upper triangular) and solves X'W = J beta + u
     so that argmin_b 0.5 ||W - X b||^2 is the Newton step beta + J^{-1} u.
     When -H is not positive definite, diagonal jitter 1e-10 * 2^k is escalated
-    up to k = ``max_jitter_doublings`` before giving up; the jitter actually
-    used is reported on the result.
+    up to k = 20 before giving up; the jitter actually used is reported on
+    the result.
     """
     beta = np.asarray(beta, dtype=float)
     J = -np.asarray(H, dtype=float)
     p = len(beta)
-    jitters = [0.0] + [1e-10 * 2.0**k for k in range(max_jitter_doublings + 1)]
+    jitters = [0.0] + [1e-10 * 2.0**k for k in range(21)]
     for jit in jitters:
         A = J + jit * np.eye(p) if jit else J
         try:

@@ -1,5 +1,10 @@
 """Penalized selection on the quadratic surrogate.
 
+Selection takes an unpenalized fit and a ``PenaltyConfig``, nothing else:
+the likelihood uses the fit's recorded quadrature and truncation, and the
+penalty kind fixes the weights (``_problem``).  ``penalized_solve`` solves
+at one lambda; ``gcv_select`` walks the grid.
+
 All three penalties run the same loop, ``_solve``: at the current iterate
 the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
 by the least-squares surrogate 0.5 ||W - X b||^2 built from Cholesky
@@ -15,7 +20,8 @@ unchanged, the minimizer with those signs solves G_AA b_A = c_A - lam w_A s_A
 on A = supp(s), and it is kept if the KKT conditions confirm it.  Sweeps
 then stop at the minimizer itself instead of within coordinate descent's
 tolerance of it, in a few sweeps instead of many; a signed support that does
-not verify sends the step back to plain coordinate descent.
+not verify sends the step back to plain coordinate descent.  A step that
+stops at its sweep cap leaves the solve unconverged.
 
 BAR's reweighted ridge cannot produce exact zeros on its own (the weight
 1/b^2 diverges instead), so coordinates falling below the zero threshold
@@ -30,10 +36,10 @@ and the iterates are those of the full surrogate up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .baselines import DEFAULT_QUADRATURE, QuadratureRule
 from .domain import Dataset
 from .likelihood import BetaLikelihood, PseudoData, pseudo_data
 
@@ -43,8 +49,7 @@ __all__ = [
     "GcvResult",
     "default_lambda_grid",
     "bar_step",
-    "bar_solve",
-    "l1_solve",
+    "penalized_solve",
     "alasso_weights",
     "l1_kkt_residual",
     "effective_params",
@@ -70,13 +75,13 @@ class PenaltyConfig:
     lambda_grid: np.ndarray = None      # None -> default_lambda_grid(n)
     max_iter: int = 100
     tol: float = 1e-6                   # sup-norm change between iterates
-    zero_threshold: float = 1e-6        # |b| below this is exactly 0
+    zero_threshold: ClassVar[float] = 1e-6   # |b| below this is exactly 0
 
     def __post_init__(self):
         if self.kind not in ("bar", "lasso", "alasso"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.zero_threshold <= 0 or self.tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.tol <= 0:
+            raise ValueError("tolerance must be positive")
         if self.lambda_grid is not None:
             grid = np.asarray(self.lambda_grid, dtype=float)
             if grid.size == 0 or np.any(grid <= 0):
@@ -109,8 +114,7 @@ class GcvResult:
     table: list
 
 
-def bar_step(beta_prev, pseudo: PseudoData, lam: float,
-             zero_threshold: float = 1e-6) -> np.ndarray:
+def bar_step(beta_prev, pseudo: PseudoData, lam: float) -> np.ndarray:
     """One broken-adaptive-ridge update on the surrogate.
 
     Coordinates of ``beta_prev`` below the zero threshold are frozen at 0
@@ -118,7 +122,7 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float,
     (X'X + lam * diag(1/beta_prev^2)) b = X'W.
     """
     beta_prev = np.asarray(beta_prev, dtype=float)
-    active = np.abs(beta_prev) >= zero_threshold
+    active = np.abs(beta_prev) >= PenaltyConfig.zero_threshold
     out = np.zeros_like(beta_prev)
     if not active.any():
         return out
@@ -135,10 +139,10 @@ def _sweeps(G, c, b, thr, sweeps, tol):
     the list ``b`` in place.
 
     After each sweep this yields whether the sweep changed the sign (-, 0 or
-    +) of any coordinate; it stops after ``sweeps`` sweeps or after one that
-    moves no coordinate by ``tol``.  The coordinates are updated on Python
-    floats, which round exactly as numpy scalars do; only the residual update
-    r -= G[:, j] * step is a vector operation.
+    +) of any coordinate and whether it moved none by ``tol``, and it stops
+    after such a sweep or after ``sweeps`` sweeps.  The coordinates are
+    updated on Python floats, which round exactly as numpy scalars do; only
+    the residual update r -= G[:, j] * step is a vector operation.
     """
     r = c - G @ np.array(b)
     r_at = r.item
@@ -157,7 +161,7 @@ def _sweeps(G, c, b, thr, sweeps, tol):
                 delta = max(delta, abs(bj - old))
                 # a product that underflows to 0 only reads as a flip
                 flipped = flipped or bj * old <= 0.0
-        yield flipped
+        yield flipped, delta < tol
         if delta < tol:
             return
 
@@ -192,7 +196,8 @@ def _signed_support_solution(G, c, s, thr):
 
 
 def _l1_step(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """``_coordinate_descent``, finished exactly on its signed support.
+    """``_coordinate_descent``, finished exactly on its signed support, and
+    whether it finished: False when it stopped at the sweep cap.
 
     After a sweep that changes no sign, the minimizer with those signs is
     solved for (``_signed_support_solution``), at most once per distinct
@@ -203,7 +208,7 @@ def _l1_step(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
     thr = lam * np.asarray(weights, dtype=float)
     b = np.asarray(b0, dtype=float).tolist()
     tried, fresh = set(), True          # fresh: signs changed since last read
-    for flipped in _sweeps(G, c, b, thr, sweeps, tol):
+    for flipped, done in _sweeps(G, c, b, thr, sweeps, tol):
         if flipped:
             fresh = True
         elif fresh:
@@ -214,8 +219,8 @@ def _l1_step(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
                 tried.add(key)
                 exact = _signed_support_solution(G, c, s, thr)
                 if exact is not None:
-                    return exact
-    return np.array(b)
+                    return exact, True
+    return np.array(b), done
 
 
 def l1_kkt_residual(G, c, b, lam, weights) -> float:
@@ -227,19 +232,19 @@ def l1_kkt_residual(G, c, b, lam, weights) -> float:
     return float(np.max(res, initial=0.0))
 
 
-def alasso_weights(beta_tilde, psi: float = 1.0) -> np.ndarray:
-    """Adaptive-LASSO weights 1/|beta_tilde|^psi, capped at 1e12: an exact or
+def alasso_weights(beta_tilde) -> np.ndarray:
+    """Adaptive-LASSO weights 1/|beta_tilde|, capped at 1e12: an exact or
     underflowing zero gets the cap, without a warning."""
     with np.errstate(divide="ignore", over="ignore"):
-        return np.minimum(1.0 / np.abs(np.asarray(beta_tilde, dtype=float)) ** psi,
-                          _WEIGHT_CAP)
+        return np.minimum(1.0 / np.abs(np.asarray(beta_tilde, dtype=float)), _WEIGHT_CAP)
 
 
 def _solve(ev, beta_init, lam, cfg, weights=None):
     """The surrogate loop: BAR ridge steps when ``weights`` is None, starting
     with the coordinates below the zero threshold frozen; weighted L1
     coordinate descent on (X'X, X'W) from ``beta_init`` as given, finished
-    exactly by ``_l1_step``, otherwise.
+    exactly by ``_l1_step``, otherwise.  It converges when the iterates
+    stabilize, unless the last L1 step stopped at its sweep cap.
 
     BAR refreshes the surrogate on the nonzero coordinates nz only: beta is 0
     off nz, so (J beta + u)[nz] = J[nz, nz] beta[nz] + u[nz], and the step
@@ -251,7 +256,7 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
         beta = np.where(np.abs(beta_init) >= thr, beta_init, 0.0)
     else:
         beta = np.asarray(beta_init, dtype=float).copy()
-    converged, n_iter, jitter = False, 0, 0.0
+    converged, finished, n_iter, jitter = False, True, 0, 0.0
     for n_iter in range(1, cfg.max_iter + 1):
         # pseudo_data and bar_step are looked up on this module per call, so
         # wrappers set there see each
@@ -260,16 +265,16 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
             nz = np.flatnonzero(beta)
             pseudo = pseudo_data(beta[nz], u[nz], ev.hessian(beta, nz))
             beta_new = np.zeros_like(beta)
-            beta_new[nz] = bar_step(beta[nz], pseudo, lam, thr)
+            beta_new[nz] = bar_step(beta[nz], pseudo, lam)
         else:
             pseudo = pseudo_data(beta, u, ev.hessian(beta))
-            beta_new = _l1_step(pseudo.X.T @ pseudo.X, pseudo.X.T @ pseudo.W,
-                                beta, lam, weights)
+            beta_new, finished = _l1_step(pseudo.X.T @ pseudo.X, pseudo.X.T @ pseudo.W,
+                                          beta, lam, weights)
         jitter = max(jitter, pseudo.jitter)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         if delta < cfg.tol:
-            converged = True
+            converged = finished
             break
     beta = np.where(np.abs(beta) >= thr, beta, 0.0)
     support = np.flatnonzero(beta != 0.0)
@@ -280,29 +285,25 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
                              converged=converged, jitter=jitter)
 
 
-def bar_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
-              quad: QuadratureRule = DEFAULT_QUADRATURE, beta_init=None,
-              truncation: str = "calendar") -> PenalizedEstimate:
-    """Iterate BAR updates from the unpenalized estimate until the iterates
-    stabilize; nuisance parameters stay fixed at ``nu_tilde``'s values."""
-    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
+def _problem(data: Dataset, nu_tilde, cfg: PenaltyConfig):
+    """The beta-likelihood at the fit's nuisance, quadrature and truncation,
+    and the L1 weights of ``cfg.kind``: None for BAR, ones for LASSO, and
+    ``alasso_weights`` of the unpenalized coefficients for ALASSO."""
+    fit = nu_tilde.config
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance, fit.quadrature, fit.truncation)
+    if cfg.kind == "lasso":
+        return ev, np.ones(ev.p)
+    if cfg.kind == "alasso":
+        return ev, alasso_weights(nu_tilde.params.beta.stacked)
+    return ev, None
+
+
+def penalized_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
+                    beta_init=None) -> PenalizedEstimate:
+    """The ``cfg.kind`` penalized estimate at one lambda, from ``beta_init``
+    or else the unpenalized estimate, with the nuisance fixed at the fit's."""
+    ev, weights = _problem(data, nu_tilde, cfg)
     start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
-    return _solve(ev, start, lam, cfg)
-
-
-def l1_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(kind="lasso"),
-             weights=None, quad: QuadratureRule = DEFAULT_QUADRATURE,
-             beta_init=None, truncation: str = "calendar") -> PenalizedEstimate:
-    """LASSO/ALASSO on the surrogate by cyclic coordinate descent, each step
-    finished by one linear solve on its signed support once the KKT
-    conditions confirm that support (plain coordinate descent otherwise).
-
-    ``weights`` defaults to all ones (LASSO); pass ``alasso_weights`` of the
-    unpenalized coefficients for the adaptive variant.
-    """
-    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
-    start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
-    weights = np.ones(ev.p) if weights is None else np.asarray(weights, dtype=float)
     return _solve(ev, start, lam, cfg, weights)
 
 
@@ -328,9 +329,7 @@ def effective_params(beta_hat, H_at_hat, lam: float, penalty: PenaltyConfig,
     return float(np.trace(np.linalg.solve(J + lam * np.diag(r), J)))
 
 
-def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
-               quad: QuadratureRule = DEFAULT_QUADRATURE,
-               truncation: str = "calendar") -> GcvResult:
+def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig()) -> GcvResult:
     """Solve along the tuning grid and return the GCV minimizer.
 
     The path is walked from small to large lambda with warm starts; each
@@ -344,17 +343,10 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig(),
     n = len(data)
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else default_lambda_grid(n)
     grid = np.sort(np.asarray(grid, dtype=float))
-    ev = BetaLikelihood(data, nu_tilde.params.nuisance, quad, truncation)
-    beta_tilde = nu_tilde.params.beta.stacked
-    weights = None                      # BAR
-    if cfg.kind == "alasso":
-        weights = alasso_weights(beta_tilde)
-    elif cfg.kind == "lasso":
-        weights = np.ones(ev.p)
-
+    ev, weights = _problem(data, nu_tilde, cfg)
     path, table = [], []
     best = None
-    beta_start = beta_tilde
+    beta_start = nu_tilde.params.beta.stacked
     for lam in grid:
         row = {"lambda": float(lam), "n_selected": 0, "s": np.nan,
                "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",

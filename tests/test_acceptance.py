@@ -153,8 +153,8 @@ def test_criterion_4_bar_mechanics():
         # surrogate at the solution
         data = small_dataset(n=60, d=4, seed=3200)
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
-        from scrbar.selection import bar_solve
-        est = bar_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
+        from scrbar.selection import penalized_solve
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
         ev = BetaLikelihood(data, nu.params.nuisance)
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
                          ev.hessian(est.beta_hat))

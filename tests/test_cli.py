@@ -448,8 +448,9 @@ class TestLambdaGridInputs:
 
 
 class TestStudyInputs:
-    """A simulate config with no replicate, no worker, or an unknown or
-    repeated method, is a usage error (exit 1) found before calibration."""
+    """A simulate config with no replicate, no worker, an unknown or repeated
+    method, or scenario or fit settings that cannot run, is a usage error
+    (exit 1) found before calibration."""
 
     @pytest.mark.parametrize("line, message", [
         ("replications = 0", "replication count"),
@@ -457,7 +458,19 @@ class TestStudyInputs:
         ("jobs = 0", "jobs must be at least 1"),
         ("jobs = -3", "jobs must be at least 1"),
         ("methods = bar,ridge", "unknown method 'ridge'"),
-        ("methods = bar,bar", "repeated method 'bar'")])
+        ("methods = bar,bar", "repeated method 'bar'"),
+        ("design = gruoped", "unknown design 'gruoped'"),
+        ("trunc_fraction = -0.2", "trunc_fraction must be finite and non-negative"),
+        ("trunc_fraction = nan", "trunc_fraction must be finite and non-negative"),
+        ("trunc_fraction = inf", "trunc_fraction must be finite and non-negative"),
+        ("baseline = bernsteen", "unknown baseline mode 'bernsteen'"),
+        ("truncation = clock", "unknown truncation convention 'clock'"),
+        ("rho = 1.5", "rho must lie in [0, 1)"),
+        ("censoring = 0", "censoring must lie in (0, 1)"),
+        ("censoring = 1.5", "censoring must lie in (0, 1)"),
+        ("n = 0", "n must be at least 1"),
+        ("degrees = 2,2", "one per transition"),
+        ("degrees = 2,2,3,4", "one per transition")])
     def test_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
                                          line, message):
         import scrbar.cli as cli_mod

@@ -252,7 +252,7 @@ class TestPseudoData:
     def test_conditioning_error_after_max_jitter(self):
         H = np.array([[1.0]])   # -H negative definite beyond any jitter
         with pytest.raises(np.linalg.LinAlgError):
-            pseudo_data(np.zeros(1), np.zeros(1), H, max_jitter_doublings=3)
+            pseudo_data(np.zeros(1), np.zeros(1), H)
 
 
 class TestTruncationConvention:
@@ -415,3 +415,71 @@ class TestHessianBlocks:
         # a block is never the memoized full matrix, and never changes it
         block += 1.0
         assert np.array_equal(ev.hessian(b), full)
+
+
+def _max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestCoreInvariants:
+    """Properties of the beta-likelihood on random designs and parameters."""
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4))
+    def test_conventions_agree_without_truncation(self, baseline, seed, n, d):
+        data = small_dataset(n=n, d=d, seed=seed, trunc_upper=0.0)
+        params = random_params(data, np.random.default_rng(seed), baseline=baseline)
+        b = params.beta.stacked
+        gap, cal = (BetaLikelihood(data, params.nuisance, truncation=t)
+                    for t in ("gap", "calendar"))
+        assert gap.loglik(b) == cal.loglik(b)
+        assert gap.gradient(b).tobytes() == cal.gradient(b).tobytes()
+        assert gap.hessian(b).tobytes() == cal.hessian(b).tobytes()
+
+    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
+           trunc_upper=st.sampled_from([0.0, 0.4]))
+    def test_exponential_weibull_is_constant_bernstein(self, truncation, seed, n, d,
+                                                       trunc_upper):
+        # alpha = 1 gives the constant hazard tau; a degree-0 Bernstein
+        # log-hazard phi is the constant hazard exp(phi)
+        from scrbar import BernsteinBaselineSet, NuisanceParameters, WeibullBaselineSet
+        from scrbar.estimation import bernstein_supports
+        data = small_dataset(n=n, d=d, seed=seed, trunc_upper=trunc_upper)
+        rng = np.random.default_rng(seed)
+        params = random_params(data, rng)
+        log_tau = rng.normal(-1.0, 0.7, 3)
+        weibull = WeibullBaselineSet(log_alpha=np.zeros(3), log_tau=log_tau)
+        flat = BernsteinBaselineSet((0, 0, 0), [[lt] for lt in log_tau],
+                                    bernstein_supports(data, truncation))
+        evs = [BetaLikelihood(data, NuisanceParameters(params.nuisance.gamma, spec),
+                              truncation=truncation) for spec in (weibull, flat)]
+        b = params.beta.stacked
+        assert evs[1].loglik(b) == pytest.approx(evs[0].loglik(b), rel=1e-12, abs=0.0)
+        assert _max_rel(evs[1].gradient(b), evs[0].gradient(b)) <= 1e-12
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
+           data=st.data())
+    def test_additive_over_a_partition_of_the_records(self, baseline, truncation, seed,
+                                                      n, d, data):
+        ds = small_dataset(n=n, d=d, seed=seed)
+        params = random_params(ds, np.random.default_rng(seed), baseline=baseline)
+        part = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        part[0], part[-1] = True, False          # both parts nonempty
+        arr = ds.arrays()
+        parts = [Dataset.from_arrays(*(arr[k][mask] for k in (
+            "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
+            for mask in (part, ~part)]
+        evs = [BetaLikelihood(x, params.nuisance, truncation=truncation)
+               for x in [ds] + parts]
+        b = params.beta.stacked
+        ll = [ev.loglik(b) for ev in evs]
+        assert ll[1] + ll[2] == pytest.approx(ll[0], rel=1e-12, abs=0.0)
+        g = [ev.gradient(b) for ev in evs]
+        assert np.max(np.abs(g[1] + g[2] - g[0])) <= 1e-12 * (
+            np.max(np.abs(g[1])) + np.max(np.abs(g[2])))

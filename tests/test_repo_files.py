@@ -1,0 +1,36 @@
+"""Checks on files outside the package: the README's quick start and the
+benchmark tracer's lookup sites."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_readme_quick_start_runs(capsys):
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    # the tracer skips a name it cannot find, and its layer then reads 0;
+    # a rename or a dropped import must fail here instead
+    tracing = _tracing()
+    sites = [(module, cls, attr) for _, module, cls, attr in tracing.TARGETS]
+    sites += [(module, None, attr) for _, module, attr in tracing.CAPTURED]
+    missing = [site for site in sites
+               if not tracing._present(tracing._owner(site[0], site[1]), site[2])]
+    assert missing == []

@@ -11,13 +11,12 @@ from scrbar import (
     PenaltyConfig,
     SubjectRecord,
     alasso_weights,
-    bar_solve,
     bar_step,
     default_lambda_grid,
     effective_params,
     fit_unpenalized,
     gcv_select,
-    l1_solve,
+    penalized_solve,
 )
 from scrbar.estimation import FitConfig
 from scrbar.likelihood import BetaLikelihood, PseudoData, pseudo_data
@@ -89,7 +88,7 @@ class TestBarStep:
 class TestBarSolve:
     def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted):
         data, nu = fitted
-        est = bar_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=200))
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=200))
         ev = BetaLikelihood(data, nu.params.nuisance)
         # at the fixed point the refreshed surrogate's minimizer is itself
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
@@ -101,12 +100,12 @@ class TestBarSolve:
         data, nu = fitted
         beta0 = nu.params.beta.stacked.copy()
         beta0[2] = 0.0
-        est = bar_solve(data, nu, 0.5, PenaltyConfig(), beta_init=beta0)
+        est = penalized_solve(data, nu, 0.5, PenaltyConfig(), beta_init=beta0)
         assert est.beta_hat[2] == 0.0
 
     def test_support_matches_threshold(self, fitted):
         data, nu = fitted
-        est = bar_solve(data, nu, 2.0, PenaltyConfig())
+        est = penalized_solve(data, nu, 2.0, PenaltyConfig())
         np.testing.assert_array_equal(
             est.support, np.flatnonzero(np.abs(est.beta_hat) >= 1e-6))
         off = np.setdiff1d(np.arange(data.p), est.support)
@@ -139,8 +138,8 @@ class TestBarSolve:
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
         init = nu.params.beta.stacked.copy()
         init[0] = init[3] = 0.5 * (init[0] + init[3])   # symmetric start
-        est = bar_solve(data, nu, 1.0, PenaltyConfig(tol=1e-10, max_iter=300),
-                        beta_init=init)
+        est = penalized_solve(data, nu, 1.0, PenaltyConfig(tol=1e-10, max_iter=300),
+                              beta_init=init)
         assert abs(est.beta_hat[0] - est.beta_hat[3]) < 1e-8
 
     def test_null_duplicates_selected_or_dropped_jointly(self):
@@ -163,7 +162,7 @@ class TestBarSolve:
                                           z, z, z))
             data = Dataset(recs)
             nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
-            est = bar_solve(data, nu, 2.0, PenaltyConfig())
+            est = penalized_solve(data, nu, 2.0, PenaltyConfig())
             for k0 in (0, 5, 10):
                 sel = np.abs(est.beta_hat[[k0 + 2, k0 + 3, k0 + 4]]) >= 1e-6
                 hits += int(sel.all() or not sel.any())
@@ -173,7 +172,7 @@ class TestBarSolve:
 class TestL1:
     def test_lambda_zero_gives_surrogate_minimizer(self, fitted):
         data, nu = fitted
-        est = l1_solve(data, nu, 1e-12, PenaltyConfig(kind="lasso", tol=1e-10))
+        est = penalized_solve(data, nu, 1e-12, PenaltyConfig(kind="lasso", tol=1e-10))
         assert est.support.size == data.p
 
     def test_everything_zero_above_gradient_bound(self, fitted):
@@ -181,7 +180,7 @@ class TestL1:
         ev = BetaLikelihood(data, nu.params.nuisance)
         u0 = ev.gradient(np.zeros(data.p))
         lam = np.max(np.abs(u0)) * 1.05
-        est = l1_solve(data, nu, lam, PenaltyConfig(kind="lasso"))
+        est = penalized_solve(data, nu, lam, PenaltyConfig(kind="lasso"))
         assert est.support.size == 0
         np.testing.assert_array_equal(est.beta_hat, np.zeros(data.p))
 
@@ -197,8 +196,8 @@ class TestL1:
         data, nu = fitted
         ev = BetaLikelihood(data, nu.params.nuisance)
         for lam in (0.3, 2.0, 8.0):
-            est = l1_solve(data, nu, lam, PenaltyConfig(kind="lasso", tol=1e-9,
-                                                        max_iter=200))
+            est = penalized_solve(data, nu, lam, PenaltyConfig(kind="lasso", tol=1e-9,
+                                                               max_iter=200))
             pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
                              ev.hessian(est.beta_hat))
             G, c = pd.X.T @ pd.X, pd.X.T @ pd.W
@@ -206,15 +205,13 @@ class TestL1:
                                    np.ones(data.p)) < 1e-6
 
     def test_alasso_weights_capped(self):
-        w = alasso_weights(np.array([0.5, 1e-200, 2.0]), psi=1.0)
+        w = alasso_weights(np.array([0.5, 1e-200, 2.0]))
         assert w[0] == pytest.approx(2.0)
         assert w[1] == 1e12
-        w2 = alasso_weights(np.array([0.25]), psi=2.0)
-        assert w2[0] == pytest.approx(16.0)
 
     @pytest.mark.filterwarnings("error")
     def test_alasso_weights_cap_exact_zero_silently(self):
-        w = alasso_weights(np.array([0.0, -0.0, 5e-324, 1.0]), psi=2.0)
+        w = alasso_weights(np.array([0.0, -0.0, 5e-324, 1.0]))
         np.testing.assert_array_equal(w, [1e12, 1e12, 1e12, 1.0])
 
 
@@ -303,7 +300,7 @@ class TestExactFinish:
            t=st.floats(0.0, 1.0), capped=st.booleans())
     def test_same_signed_support_at_the_exact_minimizer(self, seed, p, t, capped):
         G, c, b0, lam, weights = _well_conditioned_l1_problem(seed, p, t, capped)
-        got = _l1_step(G, c, b0, lam, weights)
+        got, _ = _l1_step(G, c, b0, lam, weights)
         want = _coordinate_descent(G, c, b0, lam, weights)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(np.sign(got), np.sign(want))
@@ -326,7 +323,7 @@ class TestExactFinish:
             return tries[-1]
 
         monkeypatch.setattr(selection_mod, "_signed_support_solution", recording)
-        got = _l1_step(G, c, b0, 1e-3, weights)
+        got, _ = _l1_step(G, c, b0, 1e-3, weights)
         want = _coordinate_descent(G, c, b0, 1e-3, weights)
         assert tries == [None]
         assert np.all(got > 0.0) and got.tobytes() == want.tobytes()
@@ -431,7 +428,7 @@ class TestGcv:
             grid = default_lambda_grid(len(data))
             mcvs = []
             for lam in (grid.min(), grid.max()):
-                est = bar_solve(data, nu, lam, cfg)
+                est = penalized_solve(data, nu, lam, cfg)
                 mcvs.append(confusion_counts(est.beta_hat, truth)[2])
             chosen_mcv = confusion_counts(res.best.beta_hat, truth)[2]
             wins += int(chosen_mcv < min(mcvs))
@@ -448,7 +445,7 @@ def _reference_bar_iterate(ev, beta_init, lam, cfg):
     for n_iter in range(1, cfg.max_iter + 1):
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
         jitter = max(jitter, pseudo.jitter)
-        beta_new = bar_step(beta, pseudo, lam, cfg.zero_threshold)
+        beta_new = bar_step(beta, pseudo, lam)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         if delta < cfg.tol:
@@ -525,7 +522,7 @@ def _kind_weights(kind, nu, p):
 
 
 class TestSolveReference:
-    """``bar_solve``, ``l1_solve`` and every ``gcv_select`` path point are the
+    """``penalized_solve`` and every ``gcv_select`` path point are the
     answers of the per-kind loops kept above as the reference, with every
     field but ``beta_hat`` and ``objective`` exact.  ``objective`` agrees to
     1e-10 relative; ``beta_hat`` to 1e-10 relative for BAR, which refreshes
@@ -549,10 +546,7 @@ class TestSolveReference:
         cfg = PenaltyConfig(kind=kind, max_iter=max_iter)
         nonconverged = 0
         for lam in (0.0, 0.3, 2.0, 9.0):
-            if kind == "bar":
-                got = bar_solve(data, nu, lam, cfg, beta_init=beta_init)
-            else:
-                got = l1_solve(data, nu, lam, cfg, weights=weights, beta_init=beta_init)
+            got = penalized_solve(data, nu, lam, cfg, beta_init=beta_init)
             _assert_same_estimate(got, _reference_solve(ev, beta_init, lam, cfg, weights),
                                   **_KIND_TOL[kind])
             nonconverged += not got.converged
@@ -581,6 +575,64 @@ class TestSolveReference:
                 (want.lam, want.n_iter, want.converged, want.jitter)
             start = want.beta_hat
         assert res.best_lambda in [est.lam for est in res.path]
+
+
+@pytest.fixture(scope="module")
+def truncated():
+    return small_dataset(n=120, d=3, seed=5, trunc_upper=0.4)
+
+
+class TestFitConvention:
+    """Selection evaluates the likelihood with the quadrature and truncation
+    convention the fit recorded, and ``cfg.kind`` alone decides the step and
+    the weights."""
+
+    def test_gap_weibull_path_scores_the_gap_likelihood(self, truncated):
+        nu = fit_unpenalized(truncated, FitConfig(baseline="weibull", truncation="gap"))
+        res = gcv_select(truncated, nu, PenaltyConfig(kind="bar"))
+        ev = BetaLikelihood(truncated, nu.params.nuisance, truncation="gap")
+        scored = [row for row in res.table if row["ok"]]
+        assert len(scored) == len(res.path) > 0
+        for row, est in zip(scored, res.path):
+            assert row["loglik"] == ev.loglik(est.beta_hat)
+
+    def test_gap_bernstein_selects_on_truncated_data(self, truncated):
+        nu = fit_unpenalized(truncated, FitConfig(baseline="bernstein", truncation="gap"))
+        res = gcv_select(truncated, nu, PenaltyConfig(kind="bar"))
+        assert all(row["ok"] for row in res.table)
+        assert res.best.support.size > 0
+
+    @pytest.mark.parametrize("kind", ["bar", "lasso", "alasso"])
+    def test_kind_decides_the_step_and_weights(self, truncated, kind):
+        nu = fit_unpenalized(truncated, FitConfig(baseline="weibull"))
+        cfg = PenaltyConfig(kind=kind)
+        ev = BetaLikelihood(truncated, nu.params.nuisance)
+        want = selection_mod._solve(ev, nu.params.beta.stacked, 1.0, cfg,
+                                    _kind_weights(kind, nu, truncated.p))
+        _assert_same_estimate(penalized_solve(truncated, nu, 1.0, cfg), want)
+
+
+class TestSweepCap:
+    """A lambda whose last L1 step ran out of sweeps, without meeting its
+    tolerance or verifying, is not converged, although its outer iterates
+    stabilized."""
+
+    @pytest.mark.parametrize("kind", ["lasso", "alasso"])
+    def test_capped_last_step_is_not_converged(self, fitted, monkeypatch, kind):
+        data, nu = fitted
+        real = selection_mod._l1_step
+
+        def one_sweep(G, c, b0, lam, weights):
+            return real(G, c, b0, lam, weights, sweeps=1)
+
+        monkeypatch.setattr(selection_mod, "_l1_step", one_sweep)
+        monkeypatch.setattr(selection_mod, "_signed_support_solution", lambda *args: None)
+        cfg = PenaltyConfig(kind=kind, lambda_grid=np.array([0.3, 1.0]))
+        est = penalized_solve(data, nu, 1.0, cfg)
+        assert est.n_iter < cfg.max_iter and not est.converged
+        res = gcv_select(data, nu, cfg)
+        assert [row["converged"] for row in res.table] == [False, False]
+        assert all(row["n_iter"] < cfg.max_iter for row in res.table)
 
 
 class TestModuleLookups:
@@ -643,10 +695,10 @@ class TestJitter:
         beta_init = nu.params.beta.stacked.copy()
         beta_init[[1, 5]] = 0.0
         if kind == "bar":
-            est = bar_solve(data, nu, 2.0, cfg, beta_init=beta_init)
+            est = penalized_solve(data, nu, 2.0, cfg, beta_init=beta_init)
             assert blocks[0] == data.p - 2         # the nonzero block only
         else:
-            est = l1_solve(data, nu, 2.0, cfg, beta_init=beta_init)
+            est = penalized_solve(data, nu, 2.0, cfg, beta_init=beta_init)
             assert blocks[0] == data.p
         assert est.converged and len(loadings) == est.n_iter > 2
         assert loadings[0] > 0.0 and loadings[-1] == 0.0
@@ -663,8 +715,7 @@ class TestBarFixedPointProperty:
     def test_lambda_zero_fixed_point_is_newton_step(self, seed, n, d, truncation):
         data = small_dataset(n=n, d=d, seed=seed)
         nu = fit_unpenalized(data, FitConfig(baseline="weibull", truncation=truncation))
-        est = bar_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300),
-                        truncation=truncation)
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
         assert est.converged and est.support.size == data.p
         ev = BetaLikelihood(data, nu.params.nuisance, truncation=truncation)
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
