@@ -6,6 +6,12 @@ semiparametric sieve in which the log baseline hazard is a Bernstein
 polynomial on a bounded support.  Weibull cumulative hazards are closed
 form; Bernstein cumulative hazards are integrated with fixed-order
 Gauss-Legendre quadrature (the integrand exp(polynomial) is smooth).
+
+Each baseline set evaluates itself: ``log_hazard(t, j)`` and
+``log_cumhaz(t, j, quad)`` are methods of ``WeibullBaselineSet`` and
+``BernsteinBaselineSet``, so a spec's class decides its kind.  The free
+functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
+``bernstein_log_hazard`` are entry points to those methods.
 """
 
 from __future__ import annotations
@@ -64,6 +70,20 @@ class WeibullBaselineSet:
     def tau(self) -> np.ndarray:
         return np.exp(self.log_tau)
 
+    def log_hazard(self, t, j: int):
+        """log alpha_j + log tau_j + (alpha_j - 1) log t at times t > 0
+        (transition j, 1-based)."""
+        a = self.alpha[j - 1]
+        return self.log_alpha[j - 1] + self.log_tau[j - 1] + (a - 1.0) * np.log(t)
+
+    def log_cumhaz(self, t, j: int, quad):
+        """log tau_j + alpha_j log t at times t >= 0, -inf at t = 0; the
+        closed form needs no quadrature."""
+        if np.any(np.less(t, 0)):
+            raise ValueError("negative time in log_cumulative_hazard")
+        with np.errstate(divide="ignore"):
+            return self.log_tau[j - 1] + self.alpha[j - 1] * np.log(t)
+
 
 @dataclass(frozen=True)
 class BernsteinBaselineSet:
@@ -97,6 +117,18 @@ class BernsteinBaselineSet:
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "supports", supports)
+
+    def log_hazard(self, t, j: int):
+        """The Bernstein polynomial of transition j (1-based) at times t in
+        its support, as an array."""
+        c, u = self.supports[j - 1]
+        return bernstein_basis_matrix(t, self.degrees[j - 1], c, u) @ self.coeffs[j - 1]
+
+    def log_cumhaz(self, t, j: int, quad):
+        """log Lambda_j at times t in [0, u_j] by ``quad``-point
+        Gauss-Legendre quadrature, as an array."""
+        table = _BernsteinTable(t, self.degrees[j - 1], self.supports[j - 1], quad)
+        return table.log_cumhaz(table.scores(self.coeffs[j - 1]))
 
 
 @dataclass(frozen=True)
@@ -150,10 +182,7 @@ def bernstein_basis_matrix(t, m: int, c: float, u: float) -> np.ndarray:
 
 def bernstein_log_hazard(t, b: BernsteinBaselineSet, j: int):
     """Log baseline hazard of transition j (1-based) at t."""
-    m = b.degrees[j - 1]
-    c, u = b.supports[j - 1]
-    B = bernstein_basis_matrix(t, m, c, u)
-    out = B @ b.coeffs[j - 1]
+    out = b.log_hazard(t, j)
     return out if np.ndim(t) else float(out[0])
 
 
@@ -268,45 +297,18 @@ class _BernsteinTable:
 
 
 def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
-    """Cumulative baseline hazard of transition j (1-based) at time(s) t.
+    """Cumulative baseline hazard of transition j (1-based) at time(s) t:
+    the exponential of ``log_cumulative_hazard``.
 
     Weibull: closed form tau * t**alpha.  Bernstein: quadrature estimate of
     the integral of the sieve hazard over [0, t]; requires t within the
     transition's support.
     """
-    if isinstance(spec, BernsteinBaselineSet):
-        return np.exp(log_cumulative_hazard(t, spec, j, quad))
-    if not isinstance(spec, WeibullBaselineSet):
-        raise TypeError(f"unknown baseline spec {type(spec).__name__}")
-    scalar = np.ndim(t) == 0
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("negative time in cumulative_hazard")
-    out = spec.tau[j - 1] * t ** spec.alpha[j - 1]
-    return float(out) if scalar else out
+    return np.exp(log_cumulative_hazard(t, spec, j, quad))
 
 
 def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
-    """log of cumulative_hazard, computed without overflow (-inf at t = 0)."""
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if isinstance(spec, WeibullBaselineSet):
-        if np.any(t_arr < 0):
-            raise ValueError("negative time in log_cumulative_hazard")
-        with np.errstate(divide="ignore"):
-            out = spec.log_tau[j - 1] + spec.alpha[j - 1] * np.log(t_arr)
-    elif isinstance(spec, BernsteinBaselineSet):
-        table = _BernsteinTable(t_arr, spec.degrees[j - 1], spec.supports[j - 1], quad)
-        out = table.log_cumhaz(table.scores(spec.coeffs[j - 1]))
-    else:
-        raise TypeError(f"unknown baseline spec {type(spec).__name__}")
-    return float(out[0]) if scalar else out
-
-
-def _log_hazard(t, spec, j: int):
-    """log baseline hazard of transition j (1-based) at times t > 0, as an
-    array."""
-    if isinstance(spec, WeibullBaselineSet):
-        a = spec.alpha[j - 1]
-        return spec.log_alpha[j - 1] + spec.log_tau[j - 1] + (a - 1.0) * np.log(t)
-    return np.atleast_1d(bernstein_log_hazard(t, spec, j))
+    """log of cumulative_hazard, computed without overflow (-inf at t = 0):
+    ``spec.log_cumhaz`` on the times as an array, a float for a scalar t."""
+    out = spec.log_cumhaz(np.atleast_1d(np.asarray(t, dtype=float)), j, quad)
+    return float(out[0]) if np.ndim(t) == 0 else out

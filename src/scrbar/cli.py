@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .baselines import (
-    BernsteinBaselineSet,
-    WeibullBaselineSet,
-    bernstein_log_hazard,
-    cumulative_hazard,
-    weibull_hazard,
-)
+from .baselines import BernsteinBaselineSet, WeibullBaselineSet, cumulative_hazard
 from .datagen import (
     ReplicateSeedPlan,
     ScenarioError,
@@ -362,10 +356,12 @@ def _parse_kv(path):
     return out
 
 
-def _check_scenario(n, design, rho, censoring, trunc_fraction):
+def _check_scenario(n, design, rho, censoring, trunc_fraction, seed):
     """Raise ValueError unless the scenario settings can be calibrated."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     if design not in ("ar1", "grouped"):
         raise ValueError(f"unknown design {design!r}")
     if not 0.0 <= rho < 1.0:
@@ -415,7 +411,7 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         fit = FitConfig(baseline=baseline, degrees=degrees,
                         truncation=kv.get("truncation", "calendar"))
         grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
-        _check_scenario(n, design, rho, censoring, trunc_fraction)
+        _check_scenario(n, design, rho, censoring, trunc_fraction, seed)
         _check_study(methods, reps, jobs)
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
@@ -470,25 +466,21 @@ def _coef_table(names, beta, fh, eps=None):
 
 
 def _hazard_curves(scenario, reference: FitResult, n_points=100):
-    """true-vs-estimated hazard samples per transition on uniform grids."""
+    """true-vs-estimated hazard samples per transition on uniform grids:
+    up to the fitted support's end for a Bernstein fit, and up to the time
+    at which the true cumulative hazard reaches 1 for a Weibull fit."""
     spec = reference.params.nuisance.baseline
+    truth = WeibullBaselineSet(scenario.log_alpha, scenario.log_tau)
     rows = []
     for j in (1, 2, 3):
         if isinstance(spec, BernsteinBaselineSet):
             tmax = spec.supports[j - 1][1]
         else:
-            tmax = np.exp(-scenario.log_tau[j - 1] / np.exp(scenario.log_alpha[j - 1]))
+            tmax = np.exp(-truth.log_tau[j - 1] / truth.alpha[j - 1])
         grid = np.linspace(tmax / n_points, tmax, n_points)
-        ta, tt = np.exp(scenario.log_alpha[j - 1]), np.exp(scenario.log_tau[j - 1])
-        true_h = weibull_hazard(grid, ta, tt)
-        true_ch = tt * grid ** ta
-        if isinstance(spec, BernsteinBaselineSet):
-            est_h = np.exp(np.atleast_1d(bernstein_log_hazard(grid, spec, j)))
-        else:
-            est_h = weibull_hazard(grid, spec.alpha[j - 1], spec.tau[j - 1])
-        est_ch = cumulative_hazard(grid, spec, j)
-        for i, t in enumerate(grid):
-            rows.append((j, t, true_h[i], est_h[i], true_ch[i], est_ch[i]))
+        cols = [np.exp(b.log_hazard(grid, j)) for b in (truth, spec)]
+        cols += [cumulative_hazard(grid, b, j) for b in (truth, spec)]
+        rows += [(j, t, *vals) for t, *vals in zip(grid, *cols)]
     return rows
 
 
@@ -513,10 +505,10 @@ def _fit_config_from_args(args, data) -> FitConfig:
                         ["degrees", "loglik", "bic", "converged", "mark"], rows)
         return replace(cfg, degrees=best)
     if args.degrees is not None:
-        degrees = tuple(int(x) for x in args.degrees.split(","))
-        if len(degrees) != 3:
-            raise SchemaError("--degrees expects m1,m2,m3 or 'bic'")
-        cfg = replace(cfg, degrees=degrees)
+        try:
+            cfg = replace(cfg, degrees=tuple(int(x) for x in args.degrees.split(",")))
+        except ValueError as exc:
+            raise SchemaError(f"--degrees expects m1,m2,m3 or 'bic': {exc}") from None
     return cfg
 
 
@@ -626,6 +618,8 @@ def cmd_select(args) -> int:
 
 def cmd_simulate(args) -> int:
     """Replicated simulation study from a config file."""
+    if args.seed is not None and args.seed < 0:
+        raise SchemaError("--seed must be non-negative")
     config = parse_experiment_config(args.config, seed_override=args.seed)
     if args.jobs is not None:
         config = replace(config, jobs=args.jobs)

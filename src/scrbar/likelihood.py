@@ -42,7 +42,6 @@ import scipy.linalg
 from .baselines import (
     DEFAULT_QUADRATURE,
     QuadratureRule,
-    _log_hazard,
     _logsumexp3,
     cumulative_hazard,
     log_cumulative_hazard,
@@ -244,7 +243,7 @@ class BetaLikelihood:
             log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1, quad) - log_t[j]
                              for j in range(2)]
         self.log_base, _ = core.log_bases(log_t, log_ratio)
-        self.ev = [float(np.sum(_log_hazard(core.ev_times[j], spec, j + 1)))
+        self.ev = [float(np.sum(spec.log_hazard(core.ev_times[j], j + 1)))
                    for j in range(3)]
         self._key = self._point = None
 
@@ -342,16 +341,16 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
 
     log_a = 0.0
     if rec.delta1 == 1:
-        log_a += float(_log_hazard(np.array([rec.y1]), spec, 1)[0])
+        log_a += float(spec.log_hazard(np.array([rec.y1]), 1)[0])
         log_a += float(b.beta1 @ rec.z1)
     if rec.delta1 == 0 and rec.delta2 == 1:
-        log_a += float(_log_hazard(np.array([rec.y2]), spec, 2)[0])
+        log_a += float(spec.log_hazard(np.array([rec.y2]), 2)[0])
         log_a += float(b.beta2 @ rec.z2)
     if rec.delta1 == 1 and rec.delta2 == 1:
         soj = rec.y2 - rec.y1
         if soj <= 0:
             raise DegenerateRecordError("zero sojourn with both events observed")
-        log_a += float(_log_hazard(np.array([soj]), spec, 3)[0])
+        log_a += float(spec.log_hazard(np.array([soj]), 3)[0])
         log_a += float(b.beta3 @ rec.z3)
 
     # imported on first use: this oracle is its only user, and importing it

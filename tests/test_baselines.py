@@ -155,6 +155,44 @@ class TestCumulativeHazard:
             cumulative_hazard(11.0, flat_bernstein(u=10.0), 1)
 
 
+def _random_spec(kind, rng, u):
+    """Random Weibull parameters, or Bernstein coefficients of degrees 0-6 on
+    [0, u] for every transition."""
+    if kind == "weibull":
+        return WeibullBaselineSet(rng.uniform(-1.0, 1.0, 3), rng.uniform(-3.0, 3.0, 3))
+    degrees = rng.integers(0, 7, 3)
+    return BernsteinBaselineSet(degrees, [rng.normal(0.0, 1.5, m + 1) for m in degrees],
+                                [(0.0, u)] * 3)
+
+
+class TestHazardAgreement:
+    """Each set's log hazard is the log of its cumulative hazard's slope."""
+
+    @pytest.mark.parametrize("kind", ["weibull", "bernstein"])
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 3))
+    def test_hazard_is_the_slope_of_the_cumulative_hazard(self, kind, seed, j):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.5, 20.0)
+        spec = _random_spec(kind, rng, u)
+        t = u * rng.uniform(1e-3, 0.999, 20)     # t > 0 and t + h inside [0, u]
+        h = 1e-5 * t
+        slope = (cumulative_hazard(t + h, spec, j) - cumulative_hazard(t - h, spec, j)) / (2 * h)
+        np.testing.assert_allclose(slope, np.exp(spec.log_hazard(t, j)), rtol=1e-6, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), j=st.integers(1, 3))
+    def test_weibull_cumulative_hazard_is_the_power_law(self, seed, j):
+        # an independent check on Lambda = tau t^alpha, which is computed
+        # as exp(log tau + alpha log t)
+        rng = np.random.default_rng(seed)
+        spec = _random_spec("weibull", rng, 1.0)
+        t = rng.uniform(1e-3, 100.0, 20)
+        np.testing.assert_allclose(cumulative_hazard(t, spec, j),
+                                   spec.tau[j - 1] * t ** spec.alpha[j - 1],
+                                   rtol=1e-13, atol=0)
+
+
 def test_quadrature_rule_validation():
     with pytest.raises(ValueError):
         QuadratureRule(nodes=1)

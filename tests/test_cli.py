@@ -447,6 +447,24 @@ class TestLambdaGridInputs:
         assert "lambda grid" in capsys.readouterr().err
 
 
+class TestDegreesFlag:
+    """A malformed, negative or short ``--degrees`` is a usage error (exit 1)
+    found before any fit."""
+
+    @pytest.mark.parametrize("command", ["fit", "select"])
+    @pytest.mark.parametrize("value", ["2,2,x", "-1,2,3", "2,2"])
+    def test_rejected_before_fitting(self, sim_csv, tmp_path, monkeypatch, capsys,
+                                     command, value):
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+        monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
+        path, _, _ = sim_csv
+        rc = main([command, path, "--baseline", "bernstein", f"--degrees={value}",
+                   "--out", str(tmp_path / "bad")])
+        assert rc == 1
+        assert "--degrees" in capsys.readouterr().err
+
+
 class TestStudyInputs:
     """A simulate config with no replicate, no worker, an unknown or repeated
     method, or scenario or fit settings that cannot run, is a usage error
@@ -470,7 +488,8 @@ class TestStudyInputs:
         ("censoring = 1.5", "censoring must lie in (0, 1)"),
         ("n = 0", "n must be at least 1"),
         ("degrees = 2,2", "one per transition"),
-        ("degrees = 2,2,3,4", "one per transition")])
+        ("degrees = 2,2,3,4", "one per transition"),
+        ("seed = -1", "seed must be non-negative")])
     def test_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys,
                                          line, message):
         import scrbar.cli as cli_mod
@@ -495,6 +514,16 @@ class TestStudyInputs:
         assert main(["simulate", str(cfg_path), "--jobs", value,
                      "--out", str(tmp_path / "bad")]) == 1
         assert "--jobs" in capsys.readouterr().err
+
+    def test_seed_flag_rejected_before_calibrating(self, tmp_path, monkeypatch, capsys):
+        import scrbar.cli as cli_mod
+        for name in ("calibrate_censoring", "calibrate_truncation", "run_study"):
+            monkeypatch.setattr(cli_mod, name, _must_not_run)
+        cfg_path = tmp_path / "study.cfg"
+        cfg_path.write_text(CONFIG)
+        assert main(["simulate", str(cfg_path), "--seed", "-1",
+                     "--out", str(tmp_path / "bad")]) == 1
+        assert "--seed" in capsys.readouterr().err
 
 
 def _child_env():

@@ -483,3 +483,45 @@ class TestCoreInvariants:
         g = [ev.gradient(b) for ev in evs]
         assert np.max(np.abs(g[1] + g[2] - g[0])) <= 1e-12 * (
             np.max(np.abs(g[1])) + np.max(np.abs(g[2])))
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
+           trunc_upper=st.sampled_from([0.0, 0.4]), log_c=st.floats(-2.0, 2.0))
+    def test_rescaling_time(self, baseline, truncation, seed, n, d, trunc_upper, log_c):
+        # t -> c t with tau_j -> tau_j c^(-alpha_j) (Weibull), or supports
+        # -> c supports and phi_j -> phi_j - log c (Bernstein), keeps every
+        # cumulative hazard and divides every hazard by c: the log-likelihood
+        # moves by the Jacobian -log c per event, and its derivatives in beta
+        # do not move.  The supports are scaled explicitly, because
+        # bernstein_supports' fallback for transition 3 is a fixed 1.0.
+        from scrbar import BernsteinBaselineSet, NuisanceParameters, WeibullBaselineSet
+        from scrbar.estimation import bernstein_supports
+        data = small_dataset(n=n, d=d, seed=seed, trunc_upper=trunc_upper)
+        rng = np.random.default_rng(seed)
+        params = random_params(data, rng)
+        c = np.exp(log_c)
+        arr = data.arrays()
+        scaled = Dataset.from_arrays(c * arr["l"], c * arr["y1"], arr["delta1"],
+                                     c * arr["y2"], arr["delta2"],
+                                     arr["Z1"], arr["Z2"], arr["Z3"])
+        if baseline == "weibull":
+            spec = params.nuisance.baseline
+            moved = WeibullBaselineSet(spec.log_alpha, spec.log_tau - spec.alpha * log_c)
+        else:
+            degrees = (2, 2, 3)
+            coeffs = [rng.normal(-1.0, 0.5, m + 1) for m in degrees]
+            supports = bernstein_supports(data, truncation)
+            spec = BernsteinBaselineSet(degrees, coeffs, supports)
+            moved = BernsteinBaselineSet(degrees, [phi - log_c for phi in coeffs],
+                                         [(c * lo, c * hi) for lo, hi in supports])
+        gamma = params.nuisance.gamma
+        ev, ev_c = (BetaLikelihood(x, NuisanceParameters(gamma, s), truncation=truncation)
+                    for x, s in ((data, spec), (scaled, moved)))
+        b = params.beta.stacked
+        events = arr["delta1"].sum() + arr["delta2"].sum()
+        assert ev_c.loglik(b) + events * log_c == pytest.approx(ev.loglik(b), rel=1e-12,
+                                                                abs=0.0)
+        assert _max_rel(ev_c.gradient(b), ev.gradient(b)) <= 1e-12
+        assert _max_rel(ev_c.hessian(b), ev.hessian(b)) <= 1e-12

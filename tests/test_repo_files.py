@@ -1,9 +1,15 @@
-"""Checks on files outside the package: the README's quick start and the
-benchmark tracer's lookup sites."""
+"""Checks on files outside the package: the README's quick start, the
+quicker demos and the benchmark tracer's lookup sites."""
 
 import importlib.util
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
+
+from test_cli import _child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -15,6 +21,16 @@ def test_readme_quick_start_runs(capsys):
     exec(compile(code, "README.md quick start", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2
+
+
+# the two demos that call frailty_integral_oracle and cumulative_hazard; they
+# run in seconds, while the slower demos 05 and 06 stay out of the suite
+@pytest.mark.parametrize("demo", ["02_likelihood_machinery.py",
+                                  "03_fitting_and_degrees.py"])
+def test_demo_runs(demo, tmp_path):
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _tracing():
