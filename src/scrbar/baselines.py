@@ -148,13 +148,13 @@ class QuadratureRule:
 DEFAULT_QUADRATURE = QuadratureRule()
 
 
-def _rescale(t, c, u, what="t"):
+def _rescale(t, c, u):
     """Map t in [c, u] to s in [0, 1]; clamp float noise just above u."""
     t = np.asarray(t, dtype=float)
     span = u - c
     slack = _SUPPORT_SLACK * max(abs(u), 1.0)
     if np.any(t < c - slack) or np.any(t > u + slack):
-        raise ValueError(f"{what} outside Bernstein support [{c}, {u}]")
+        raise ValueError(f"t outside Bernstein support [{c}, {u}]")
     return np.clip((t - c) / span, 0.0, 1.0)
 
 

@@ -31,7 +31,7 @@ from .datagen import (
     scenario_grouped,
     simulate_dataset,
 )
-from .domain import Dataset, validate_dataset
+from .domain import Dataset, RegressionCoefficients, validate_dataset
 from .estimation import FitConfig, FitResult, bic_degree_select, fit_unpenalized
 from .metrics import ReplicateMetrics, aggregate, confusion_counts, ges, mse
 from .selection import (
@@ -249,40 +249,45 @@ def _true_support(scenario):
     return [np.flatnonzero(v != 0.0) for v in (b.beta1, b.beta2, b.beta3)]
 
 
+def _estimate(data: Dataset, nu: FitResult, method, fit_cfg: FitConfig, grid, support):
+    """The stacked estimate of ``method``, its chosen lambda and its
+    ``GcvResult``: the oracle refits on ``support`` (lambda nan, no GCV
+    result), the penalties tune lambda over ``grid`` by GCV from the
+    unpenalized fit ``nu``."""
+    if method == "oracle":
+        beta_hat, _ = oracle_fit(data, support, fit_cfg)
+        return beta_hat, np.nan, None
+    res = gcv_select(data, nu, PenaltyConfig(kind=method, lambda_grid=grid))
+    return res.best.beta_hat, res.best_lambda, res
+
+
 def _replicate(config: ExperimentConfig, index: int):
-    """One replicate: simulate, fit once, then run every method."""
+    """One replicate: simulate, fit once, then run every method; each
+    method maps to its metrics and chosen lambda."""
     plan = ReplicateSeedPlan(config.scenario.seed)
     data = simulate_dataset(config.scenario, rng=plan.rng(index))
     arr = data.arrays()
     sigmas = [np.cov(arr[k], rowvar=False, ddof=1) for k in ("Z1", "Z2", "Z3")]
-    truth_stacked = config.scenario.beta.stacked
-    offs = np.concatenate([[0], np.cumsum(data.dims)])
+    truth = config.scenario.beta
+    truth_parts = (truth.beta1, truth.beta2, truth.beta3)
     nu = fit_unpenalized(data, config.fit)
     grouped = config.scenario.design == "grouped"
+    support = _true_support(config.scenario)
+    eps = PenaltyConfig.zero_threshold
 
     out = {}
     for method in config.methods:
-        if method == "oracle":
-            beta_hat, _ = oracle_fit(data, _true_support(config.scenario), config.fit)
-            lam = np.nan
-        else:
-            pcfg = PenaltyConfig(kind=method, lambda_grid=config.lambda_grid)
-            res = gcv_select(data, nu, pcfg)
-            beta_hat, lam = res.best.beta_hat, res.best_lambda
-        eps = PenaltyConfig().zero_threshold
-        tp, fp, mcv = confusion_counts(beta_hat, truth_stacked, eps)
-        total_mse = 0.0
-        sel_parts = []
-        for k in range(3):
-            bh_k = beta_hat[offs[k]:offs[k + 1]]
-            truth_k = truth_stacked[offs[k]:offs[k + 1]]
-            total_mse += mse(bh_k, truth_k, sigmas[k])
-            sel_parts.append(np.abs(bh_k) >= eps)
+        beta_hat, lam, _ = _estimate(data, nu, method, config.fit, config.lambda_grid,
+                                     support)
+        tp, fp, mcv = confusion_counts(beta_hat, truth.stacked, eps)
+        b = RegressionCoefficients.from_stacked(beta_hat, data.dims)
+        parts = (b.beta1, b.beta2, b.beta3)
+        total_mse = sum(mse(bh, b0, S) for bh, b0, S in zip(parts, truth_parts, sigmas))
+        sel_parts = [np.abs(bh) >= eps for bh in parts]
         g = ges(sel_parts, GROUP_LAYOUT) if grouped else np.nan
-        out[method] = ReplicateMetrics(
-            tp=tp, fp=fp, mcv=mcv, mse=total_mse,
-            selected=np.concatenate(sel_parts).astype(int), ges=g)
-        out[method + "/lambda"] = lam
+        out[method] = (ReplicateMetrics(tp=tp, fp=fp, mcv=mcv, mse=total_mse,
+                                        selected=np.concatenate(sel_parts).astype(int),
+                                        ges=g), lam)
     return index, out, nu
 
 
@@ -316,11 +321,10 @@ def run_study(config: ExperimentConfig) -> StudyResult:
         if reference is None:
             reference = nu
         for m in config.methods:
-            r = metrics[m]
+            r, lam = metrics[m]
             rows.append({
                 "replicate": i, "method": m, "tp": r.tp, "fp": r.fp,
-                "mcv": r.mcv, "mse": r.mse, "ges": r.ges,
-                "lambda": metrics[m + "/lambda"],
+                "mcv": r.mcv, "mse": r.mse, "ges": r.ges, "lambda": lam,
                 "n_selected": int(r.selected.sum()),
                 "fit_converged": nu.converged, "fit_iterations": nu.n_iter})
             per_method[m].append(r)
@@ -336,7 +340,7 @@ def run_study(config: ExperimentConfig) -> StudyResult:
 _CONFIG_KEYS = {
     "n", "replications", "design", "rho", "censoring", "trunc_fraction",
     "baseline", "degrees", "methods", "seed", "lambda_min", "lambda_max",
-    "lambda_count", "jobs", "out", "truncation",
+    "lambda_count", "jobs", "out",
 }
 
 
@@ -408,8 +412,7 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         lam_count = int(kv.get("lambda_count", "30"))
         jobs = int(kv.get("jobs", "1"))
         out_dir = kv.get("out", ".")
-        fit = FitConfig(baseline=baseline, degrees=degrees,
-                        truncation=kv.get("truncation", "calendar"))
+        fit = FitConfig(baseline=baseline, degrees=degrees)
         grid = default_lambda_grid(n, lam_min, lam_max, lam_count)
         _check_scenario(n, design, rho, censoring, trunc_fraction, seed)
         _check_study(methods, reps, jobs)
@@ -492,7 +495,7 @@ def _fit_config_from_args(args, data) -> FitConfig:
     """The fit policy the flags ask for.  With ``--degrees bic`` the
     Bernstein degrees are chosen by BIC and ``bic_table.csv`` is written to
     the output directory."""
-    cfg = FitConfig(baseline=args.baseline, truncation=args.truncation)
+    cfg = FitConfig(baseline=args.baseline)
     if args.degrees == "bic":
         if args.baseline != "bernstein":
             raise SchemaError("--degrees bic requires --baseline bernstein")
@@ -575,22 +578,14 @@ def cmd_select(args) -> int:
     if args.method == "oracle" and not args.oracle_support:
         raise SchemaError("method 'oracle' requires --oracle-support")
     data, names = _read(args)
-    if args.method == "oracle":
-        keeps = _parse_oracle_support(args.oracle_support, data.dims)
+    keeps = (_parse_oracle_support(args.oracle_support, data.dims)
+             if args.method == "oracle" else None)
     cfg = _fit_config_from_args(args, data)
     grid = default_lambda_grid(len(data), args.lambda_min, args.lambda_max,
                                args.lambda_count)
     nu = fit_unpenalized(data, cfg)
-    offs = np.concatenate([[0], np.cumsum(data.dims)])
-    eps = PenaltyConfig().zero_threshold
-
-    if args.method == "oracle":
-        beta_hat, _ = oracle_fit(data, keeps, cfg)
-        chosen = np.nan
-    else:
-        pcfg = PenaltyConfig(kind=args.method, lambda_grid=grid)
-        res = gcv_select(data, nu, pcfg)
-        beta_hat, chosen = res.best.beta_hat, res.best_lambda
+    beta_hat, chosen, res = _estimate(data, nu, args.method, cfg, grid, keeps)
+    if res is not None:
         header = ["lambda", "n_selected", "s", "loglik", "gcv", "ok", "note",
                   "converged", "n_iter", "jitter"]
         _write_rows_csv(os.path.join(args.out, "gcv_table.csv"), header,
@@ -608,10 +603,11 @@ def cmd_select(args) -> int:
             if grid.size == 1:
                 fh.write("note: single-point grid, tuning is degenerate\n")
             fh.write(f"chosen lambda: {chosen:.6g}\n")
-        blocks = tuple(beta_hat[offs[k]:offs[k + 1]] for k in range(3))
+        eps = PenaltyConfig.zero_threshold
         n_sel = int(np.sum(np.abs(beta_hat) >= eps))
         fh.write(f"selected coefficients: {n_sel} of {data.p}\n\n")
-        _coef_table(names, blocks, fh, eps)
+        b = RegressionCoefficients.from_stacked(beta_hat, data.dims)
+        _coef_table(names, (b.beta1, b.beta2, b.beta3), fh, eps)
     print(f"wrote {report}")
     return 0
 
@@ -692,11 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                         default="weibull")
         sp.add_argument("--degrees", default=None,
                         help="m1,m2,m3 or 'bic' (bernstein only)")
-        sp.add_argument("--truncation", choices=("calendar", "gap"),
-                        default="calendar",
-                        help="left-truncation handling; 'calendar' subtracts "
-                             "the entry-time cumulative hazard, 'gap' restarts "
-                             "the clock at entry")
         sp.add_argument("--standardize", action="store_true")
         sp.add_argument("--out", default=".", help="output directory")
 

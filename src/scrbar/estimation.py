@@ -13,6 +13,7 @@ gradient is analytic for every block.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 import scipy.optimize
@@ -48,19 +49,19 @@ _GTOL = 5e-4
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting policy: baseline mode, Bernstein degrees, quadrature and
-    truncation convention."""
+    """Fitting policy: baseline mode, Bernstein degrees and quadrature.
+    Left truncation always uses the calendar adjustment (see the likelihood
+    module)."""
 
     baseline: str = "weibull"           # "weibull" | "bernstein"
     degrees: tuple = (2, 2, 3)
     quadrature: QuadratureRule = DEFAULT_QUADRATURE   # Bernstein cumulative hazards
-    truncation: str = "calendar"        # "calendar" | "gap"; see likelihood module
+    # read by perfbench/workloads.py::fit_problems; not a field
+    truncation: ClassVar[str] = "calendar"
 
     def __post_init__(self):
         if self.baseline not in ("weibull", "bernstein"):
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
-        if self.truncation not in ("gap", "calendar"):
-            raise ValueError(f"unknown truncation convention {self.truncation!r}")
         if len(self.degrees) != 3:
             raise ValueError("Bernstein degrees must be one per transition (m1, m2, m3)")
         if any(int(m) < 0 for m in self.degrees):
@@ -70,8 +71,7 @@ class FitConfig:
 @dataclass(frozen=True)
 class FitResult:
     """Fitted parameters plus convergence diagnostics, and the ``FitConfig``
-    the fit used: selection evaluates the likelihood with its quadrature
-    and truncation convention."""
+    the fit used: selection evaluates the likelihood with its quadrature."""
 
     params: ModelParameters
     loglik: float
@@ -81,20 +81,20 @@ class FitResult:
     config: FitConfig
 
 
-def bernstein_supports(data: Dataset, truncation: str = "calendar") -> tuple:
+def bernstein_supports(data: Dataset) -> tuple:
     """Default sieve supports: [0, u_j] with u_j the largest time at which
     transition j's hazard or cumulative hazard is ever evaluated.
 
-    Transitions 1-2 cover the truncated initial-state window plus the event
+    Transitions 1-2 cover the initial-state window [0, y1] (the entry
+    times lie inside it), and transition 2 also its direct terminal event
     times; transition 3 covers the sojourn times of subjects with an
     observed non-terminal event (fallback 1.0 when there are none).
     """
     arr = data.arrays()
-    t12 = arr["y1"] - arr["l"] if truncation == "gap" else arr["y1"]
     ev1 = arr["delta1"] == 1.0
     ev2 = (arr["delta1"] == 0.0) & (arr["delta2"] == 1.0)
-    u1 = max(t12.max(), arr["y1"][ev1].max() if ev1.any() else 0.0)
-    u2 = max(t12.max(), arr["y2"][ev2].max() if ev2.any() else 0.0)
+    u1 = arr["y1"].max()
+    u2 = max(u1, arr["y2"][ev2].max() if ev2.any() else 0.0)
     soj = (arr["y2"] - arr["y1"])[ev1]
     u3 = soj.max() if ev1.any() and soj.size else 1.0
     return ((0.0, float(u1)), (0.0, float(u2)), (0.0, max(float(u3), 1e-12)))
@@ -162,7 +162,7 @@ class _Bernstein:
         self.size = sum(m + 1 for m in cfg.degrees)
         self.bounds = [(-40.0, 20.0)] * self.size
         self.cuts = np.cumsum([m + 1 for m in cfg.degrees])[:2]
-        self.supports = bernstein_supports(data, cfg.truncation)
+        self.supports = bernstein_supports(data)
 
         def table(t, j):
             return _BernsteinTable(t, cfg.degrees[j], self.supports[j], cfg.quadrature)
@@ -224,7 +224,7 @@ class _Objective:
     """
 
     def __init__(self, data: Dataset, cfg: FitConfig):
-        core = self.core = _Core(data, cfg.truncation)
+        core = self.core = _Core(data)
         self.p = core.p
         self.base = _Weibull(core) if cfg.baseline == "weibull" else _Bernstein(data, core, cfg)
         self.n_params = self.p + 1 + self.base.size
@@ -240,7 +240,7 @@ class _Objective:
 
     def initial_point(self):
         """beta = 0, gamma = 0.5 and constant hazards at the crude event rates."""
-        exposure12 = max(float(np.sum(self.core.gap12)), 1e-12)
+        exposure12 = max(float(np.sum(self.core.at_risk12)), 1e-12)
         exposure3 = max(float(np.sum(self.core.sojourn)), 1e-12)
         log_rates = [np.log(max(float(self.core.ev_mask[j].sum()), 0.5) / exposure)
                      for j, exposure in enumerate((exposure12, exposure12, exposure3))]

@@ -5,8 +5,8 @@ across the three transition hazards, the per-subject integral over w is
 available in closed form.  Exposure to the initial-state hazards ends at
 the first observed time y1, so with
 
-    e1 = Lambda01(y1 - l) exp(b1'z1)
-    e2 = Lambda02(y1 - l) exp(b2'z2)
+    e1 = [Lambda01(y1) - Lambda01(l)] exp(b1'z1)
+    e2 = [Lambda02(y1) - Lambda02(l)] exp(b2'z2)
     e3 = delta1 * Lambda03(y2 - y1) exp(b3'z3)
     S  = e1 + e2 + e3
 
@@ -25,10 +25,9 @@ all parameters.  ``frailty_integral_oracle`` integrates the conditional
 likelihood against the gamma density numerically and is the ground truth
 the closed form is tested against.
 
-Truncated intervals use the calendar adjustment Lambda(y1) - Lambda(l)
-by default (identical to the gap form when l = 0); ``truncation="gap"``
-switches to Lambda(y1 - l), which treats the clock as restarting at
-study entry.
+Left truncation conditions on survival to the entry time l, hence the
+Lambda(l) terms; this calendar adjustment is the only convention.  When
+no subject is truncated (l = 0 throughout) the entry terms are skipped.
 """
 
 from __future__ import annotations
@@ -104,9 +103,7 @@ class _Core:
     (``BetaLikelihood``) and a moving one (the unpenalized fit).
     """
 
-    def __init__(self, data: Dataset, truncation: str):
-        if truncation not in ("gap", "calendar"):
-            raise ValueError(f"unknown truncation convention {truncation!r}")
+    def __init__(self, data: Dataset):
         arr = data.arrays()
         self.dims, self.p, self.n = data.dims, data.p, len(data)
         self.offs = np.concatenate([[0], np.cumsum(self.dims)])
@@ -126,13 +123,12 @@ class _Core:
                 f"zero sojourn with both events observed at index {int(np.argmax(bad))}")
         self.ev_times = (y1[self.ev_mask[0]], y2[self.ev_mask[1]],
                          self.sojourn[self.ev_mask[2]])
-        # exposure intervals; calendar truncation integrates transitions 1-2
-        # from 0 and subtracts the cumulative hazard at the entry time l,
-        # which is exactly zero when no subject is truncated
-        self.gap12 = y1 - l
-        self.entry = l if truncation == "calendar" and l.any() else None
-        t12 = y1 if self.entry is not None else self.gap12
-        self.interval = (t12, t12, self.sojourn)
+        # exposure: transitions 1-2 integrate [0, y1] less the cumulative
+        # hazard at the entry time l, skipped when no subject is truncated;
+        # at_risk12 is the time from entry to y1
+        self.at_risk12 = y1 - l
+        self.entry = l if l.any() else None
+        self.interval = (y1, y1, self.sojourn)
 
     @staticmethod
     def log_bases(log_t, log_ratio):
@@ -230,9 +226,8 @@ class BetaLikelihood:
     caller may write into.
     """
 
-    def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE,
-                 truncation: str = "calendar"):
-        core = self.core = _Core(data, truncation)
+    def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE):
+        core = self.core = _Core(data)
         self.dims, self.p, self.n = core.dims, core.p, core.n
         self.log_gamma = np.log(nuisance.gamma)
         spec = nuisance.baseline
@@ -271,8 +266,7 @@ class BetaLikelihood:
 
 
 def risk_terms(rec: SubjectRecord, params: ModelParameters,
-               quad: QuadratureRule = DEFAULT_QUADRATURE,
-               truncation: str = "calendar") -> RiskTerms:
+               quad: QuadratureRule = DEFAULT_QUADRATURE) -> RiskTerms:
     """Cumulative-risk factors g1, g2 of one subject.
 
     g1 = Lambda03(y2-y1) exp(b3'z3) when the non-terminal event was
@@ -285,12 +279,8 @@ def risk_terms(rec: SubjectRecord, params: ModelParameters,
         g1 = cumulative_hazard(rec.y2 - rec.y1, spec, 3, quad) * np.exp(b.beta3 @ rec.z3)
     else:
         g1 = 0.0
-    if truncation == "gap":
-        L1 = cumulative_hazard(rec.y1 - rec.l, spec, 1, quad)
-        L2 = cumulative_hazard(rec.y1 - rec.l, spec, 2, quad)
-    else:
-        L1 = cumulative_hazard(rec.y1, spec, 1, quad) - cumulative_hazard(rec.l, spec, 1, quad)
-        L2 = cumulative_hazard(rec.y1, spec, 2, quad) - cumulative_hazard(rec.l, spec, 2, quad)
+    L1 = cumulative_hazard(rec.y1, spec, 1, quad) - cumulative_hazard(rec.l, spec, 1, quad)
+    L2 = cumulative_hazard(rec.y1, spec, 2, quad) - cumulative_hazard(rec.l, spec, 2, quad)
     g2 = L1 * np.exp(b.beta1 @ rec.z1) + L2 * np.exp(b.beta2 @ rec.z2)
     return RiskTerms(g1=float(g1), g2=float(g2))
 
@@ -299,31 +289,31 @@ def log_likelihood(params: ModelParameters, data: Dataset,
                    quad: QuadratureRule = DEFAULT_QUADRATURE,
                    truncation: str = "calendar") -> float:
     """Frailty-marginalized log-likelihood of the dataset."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
+    # the keyword stays for perfbench/workloads.py::fit_problems, which passes it
+    if truncation != "calendar":
+        raise ValueError(f"unknown truncation convention {truncation!r}")
+    ev = BetaLikelihood(data, params.nuisance, quad)
     return ev.loglik(params.beta.stacked)
 
 
 def gradient_beta(params: ModelParameters, data: Dataset,
-                  quad: QuadratureRule = DEFAULT_QUADRATURE,
-                  truncation: str = "calendar") -> np.ndarray:
+                  quad: QuadratureRule = DEFAULT_QUADRATURE) -> np.ndarray:
     """Gradient of the log-likelihood in the stacked coefficient vector,
     nuisance parameters held fixed."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
+    ev = BetaLikelihood(data, params.nuisance, quad)
     return ev.gradient(params.beta.stacked)
 
 
 def hessian_beta(params: ModelParameters, data: Dataset,
-                 quad: QuadratureRule = DEFAULT_QUADRATURE,
-                 truncation: str = "calendar") -> np.ndarray:
+                 quad: QuadratureRule = DEFAULT_QUADRATURE) -> np.ndarray:
     """Hessian of the log-likelihood in the stacked coefficient vector
     (exactly symmetric)."""
-    ev = BetaLikelihood(data, params.nuisance, quad, truncation)
+    ev = BetaLikelihood(data, params.nuisance, quad)
     return ev.hessian(params.beta.stacked)
 
 
 def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
                             quad: QuadratureRule = DEFAULT_QUADRATURE,
-                            truncation: str = "calendar",
                             rtol: float = 1e-11) -> float:
     """Marginal likelihood of one record by adaptive quadrature over the
     frailty, bypassing the closed-form gamma integral entirely.
@@ -335,7 +325,7 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
     gamma = params.nuisance.gamma
     spec = params.nuisance.baseline
     b = params.beta
-    rt = risk_terms(rec, params, quad, truncation)
+    rt = risk_terms(rec, params, quad)
     S = rt.g1 + rt.g2
     k = rec.delta1 + rec.delta2
 

@@ -1,9 +1,9 @@
 """Penalized selection on the quadratic surrogate.
 
 Selection takes an unpenalized fit and a ``PenaltyConfig``, nothing else:
-the likelihood uses the fit's recorded quadrature and truncation, and the
-penalty kind fixes the weights (``_problem``).  ``penalized_solve`` solves
-at one lambda; ``gcv_select`` walks the grid.
+the likelihood uses the fit's recorded quadrature, and the penalty kind
+fixes the weights (``_problem``).  ``penalized_solve`` solves at one
+lambda; ``gcv_select`` walks the grid.
 
 All three penalties run the same loop, ``_solve``: at the current iterate
 the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
@@ -286,11 +286,10 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
 
 
 def _problem(data: Dataset, nu_tilde, cfg: PenaltyConfig):
-    """The beta-likelihood at the fit's nuisance, quadrature and truncation,
-    and the L1 weights of ``cfg.kind``: None for BAR, ones for LASSO, and
+    """The beta-likelihood at the fit's nuisance and quadrature, and the L1
+    weights of ``cfg.kind``: None for BAR, ones for LASSO, and
     ``alasso_weights`` of the unpenalized coefficients for ALASSO."""
-    fit = nu_tilde.config
-    ev = BetaLikelihood(data, nu_tilde.params.nuisance, fit.quadrature, fit.truncation)
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance, nu_tilde.config.quadrature)
     if cfg.kind == "lasso":
         return ev, np.ones(ev.p)
     if cfg.kind == "alasso":

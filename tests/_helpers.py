@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import numpy as np
+import pytest
 
 from scrbar import (
     BernsteinBaselineSet,
@@ -12,6 +13,10 @@ from scrbar import (
     simulate_dataset,
 )
 from scrbar.estimation import bernstein_supports
+
+# a one-valued parameter, so that a test's id names the left-truncation
+# convention it checks: the calendar adjustment, the only one
+CALENDAR = pytest.mark.parametrize("truncation", ["calendar"])
 
 
 def small_scenario(n=20, d=3, seed=0, gamma=0.25, censor_upper=25.0,

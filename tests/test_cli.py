@@ -465,6 +465,16 @@ class TestDegreesFlag:
         assert "--degrees" in capsys.readouterr().err
 
 
+def test_truncation_flag_is_gone(sim_csv, tmp_path, monkeypatch, capsys):
+    # left truncation has one convention, so there is nothing to choose
+    import scrbar.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+    path, _, _ = sim_csv
+    rc = main(["select", path, "--truncation", "gap", "--out", str(tmp_path / "bad")])
+    assert rc == 1
+    assert "--truncation" in capsys.readouterr().err
+
+
 class TestStudyInputs:
     """A simulate config with no replicate, no worker, an unknown or repeated
     method, or scenario or fit settings that cannot run, is a usage error
@@ -482,7 +492,7 @@ class TestStudyInputs:
         ("trunc_fraction = nan", "trunc_fraction must be finite and non-negative"),
         ("trunc_fraction = inf", "trunc_fraction must be finite and non-negative"),
         ("baseline = bernsteen", "unknown baseline mode 'bernsteen'"),
-        ("truncation = clock", "unknown truncation convention 'clock'"),
+        ("truncation = gap", "key 'truncation'"),
         ("rho = 1.5", "rho must lie in [0, 1)"),
         ("censoring = 0", "censoring must lie in (0, 1)"),
         ("censoring = 1.5", "censoring must lie in (0, 1)"),

@@ -17,7 +17,7 @@ from scrbar import (
     simulate_dataset,
 )
 from scrbar.estimation import _GTOL, _Objective, bernstein_supports
-from _helpers import small_dataset, small_scenario
+from _helpers import CALENDAR, small_dataset, small_scenario
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +29,10 @@ def paper_truth_data():
 
 class TestFullGradient:
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["gap", "calendar"])
+    @CALENDAR
     def test_matches_finite_differences(self, baseline, truncation):
         data = small_dataset(n=30, seed=51, trunc_upper=1.0)
-        cfg = FitConfig(baseline=baseline, degrees=(2, 2, 3), truncation=truncation)
+        cfg = FitConfig(baseline=baseline, degrees=(2, 2, 3))
         obj = _Objective(data, cfg)
         rng = np.random.default_rng(3)
         theta = obj.initial_point() + rng.normal(0, 0.2, obj.n_params)
@@ -54,19 +54,27 @@ class TestPacking:
     parameters consistently, away from the optimum too."""
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["gap", "calendar"])
+    @CALENDAR
     @settings(max_examples=20, deadline=None)
     @given(draw=st.data())
     def test_objective_is_loglik_of_built_params(self, baseline, truncation, draw):
-        cfg = FitConfig(baseline=baseline, truncation=truncation)
+        cfg = FitConfig(baseline=baseline)
         obj = _Objective(_PACKING_DATA, cfg)
         x0 = obj.initial_point()
         bounds = obj.bounds()
         assert len(bounds) == obj.n_params
         assert all(lo <= x <= hi for x, (lo, hi) in zip(x0, bounds))
         theta = x0 + draw.draw(arrays(float, obj.n_params, elements=st.floats(-0.5, 0.5)))
-        ll = log_likelihood(obj.build_params(theta), _PACKING_DATA, truncation=truncation)
+        ll = log_likelihood(obj.build_params(theta), _PACKING_DATA)
         assert -obj.value_and_grad(theta)[0] == pytest.approx(ll, rel=1e-10)
+
+
+def test_truncation_is_not_a_fit_setting():
+    # the calendar adjustment is the one convention; the class attribute
+    # only reports it
+    assert FitConfig.truncation == FitConfig().truncation == "calendar"
+    with pytest.raises(TypeError):
+        FitConfig(truncation="calendar")
 
 
 class TestFitUnpenalized:
@@ -85,14 +93,14 @@ class TestFitUnpenalized:
         assert fr.grad_norm < _GTOL
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["gap", "calendar"])
+    @CALENDAR
     def test_loglik_field_consistent(self, baseline, truncation):
         # the fit's objective and log_likelihood share one closed form but
         # reach the baseline through different code (packed parameters and
         # frozen tables vs. the fitted parameter bundle)
         data = small_dataset(n=60, d=3, seed=54)
-        fr = fit_unpenalized(data, FitConfig(baseline=baseline, truncation=truncation))
-        ll = log_likelihood(fr.params, data, truncation=truncation)
+        fr = fit_unpenalized(data, FitConfig(baseline=baseline))
+        ll = log_likelihood(fr.params, data)
         assert ll == pytest.approx(fr.loglik, rel=1e-10)
 
     def test_null_signal_estimates_stay_small(self):
@@ -148,8 +156,7 @@ class TestFitUnpenalized:
     def test_truncated_data_calendar_adjustment_recovers_shape(self):
         scen = scenario_diverging_p(500, censor_upper=32.0, trunc_upper=1.0, seed=0)
         data = simulate_dataset(scen, rng=np.random.default_rng(9000))
-        fr = fit_unpenalized(data, FitConfig(baseline="weibull",
-                                             truncation="calendar"))
+        fr = fit_unpenalized(data, FitConfig(baseline="weibull"))
         assert fr.converged
         la = fr.params.nuisance.baseline.log_alpha
         np.testing.assert_allclose(la, [0.18, 0.2, 1.7], atol=0.6)

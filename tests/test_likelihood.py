@@ -18,7 +18,7 @@ from scrbar import (
     risk_terms,
 )
 from scrbar.likelihood import BetaLikelihood, DegenerateRecordError
-from _helpers import random_params, small_dataset, unit_weibull
+from _helpers import CALENDAR, random_params, small_dataset, unit_weibull
 
 
 def zero_beta(dims):
@@ -258,36 +258,34 @@ class TestPseudoData:
 class TestTruncationConvention:
     def test_calendar_switch_changes_risk(self):
         rec = SubjectRecord(1.0, 2.0, 1, 3.0, 1, [0.0], [0.0], [0.0])
-        spec = unit_weibull()
-        spec2 = ModelParameters(zero_beta((1, 1, 1)), spec)
-        gap = risk_terms(rec, spec2, truncation="gap")
-        cal = risk_terms(rec, spec2, truncation="calendar")
-        # unit hazard: Lambda(y2-l) = 2 = Lambda(y2) - Lambda(l); equal here
-        assert gap.g2 == pytest.approx(cal.g2)
-        # quadratic hazard separates the two conventions
         from scrbar import WeibullBaselineSet
         from scrbar import NuisanceParameters
         quad_spec = ModelParameters(
             zero_beta((1, 1, 1)),
             NuisanceParameters(1.0, WeibullBaselineSet(
                 np.log([2.0] * 3), np.zeros(3))))
-        gap2 = risk_terms(rec, quad_spec, truncation="gap")
-        cal2 = risk_terms(rec, quad_spec, truncation="calendar")
-        assert gap2.g2 == pytest.approx(2.0 * 1.0)            # 2 * (y1-l)^2
-        assert cal2.g2 == pytest.approx(2.0 * (4.0 - 1.0))    # 2 * (y1^2 - l^2)
+        # quadratic hazard, Lambda(t) = t^2: the window [l, y1] counts, not y1 - l
+        rt = risk_terms(rec, quad_spec)
+        assert rt.g2 == pytest.approx(2.0 * (4.0 - 1.0))      # 2 * (y1^2 - l^2)
+
+    def test_other_conventions_refused(self):
+        data = small_dataset(n=10, seed=30)
+        params = random_params(data, np.random.default_rng(31))
+        with pytest.raises(ValueError, match="unknown truncation convention 'gap'"):
+            log_likelihood(params, data, truncation="gap")
 
     def test_oracle_agrees_under_calendar_convention(self):
         data = small_dataset(n=10, seed=30, trunc_upper=0.8)
         params = random_params(data, np.random.default_rng(31))
-        ll = log_likelihood(params, data, truncation="calendar")
-        oracle = sum(np.log(frailty_integral_oracle(params, r, truncation="calendar"))
+        ll = log_likelihood(params, data)
+        oracle = sum(np.log(frailty_integral_oracle(params, r))
                      for r in data.records)
         assert abs(ll - oracle) / abs(ll) < 1e-8
 
 
 class TestRowOrder:
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @CALENDAR
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), perm=st.permutations(range(25)))
     def test_permuting_rows_leaves_derivatives_unchanged(self, baseline, truncation,
@@ -297,11 +295,11 @@ class TestRowOrder:
         arr = data.arrays()
         shuffled = Dataset.from_arrays(*(arr[k][list(perm)] for k in (
             "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
-        assert log_likelihood(params, shuffled, truncation=truncation) == pytest.approx(
-            log_likelihood(params, data, truncation=truncation), rel=1e-12)
+        assert log_likelihood(params, shuffled) == pytest.approx(
+            log_likelihood(params, data), rel=1e-12)
         for f in (gradient_beta, hessian_beta):
-            want = f(params, data, truncation=truncation)
-            np.testing.assert_allclose(f(params, shuffled, truncation=truncation), want,
+            want = f(params, data)
+            np.testing.assert_allclose(f(params, shuffled), want,
                                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
@@ -424,20 +422,7 @@ def _max_rel(got, want):
 class TestCoreInvariants:
     """Properties of the beta-likelihood on random designs and parameters."""
 
-    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4))
-    def test_conventions_agree_without_truncation(self, baseline, seed, n, d):
-        data = small_dataset(n=n, d=d, seed=seed, trunc_upper=0.0)
-        params = random_params(data, np.random.default_rng(seed), baseline=baseline)
-        b = params.beta.stacked
-        gap, cal = (BetaLikelihood(data, params.nuisance, truncation=t)
-                    for t in ("gap", "calendar"))
-        assert gap.loglik(b) == cal.loglik(b)
-        assert gap.gradient(b).tobytes() == cal.gradient(b).tobytes()
-        assert gap.hessian(b).tobytes() == cal.hessian(b).tobytes()
-
-    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @CALENDAR
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
            trunc_upper=st.sampled_from([0.0, 0.4]))
@@ -453,15 +438,15 @@ class TestCoreInvariants:
         log_tau = rng.normal(-1.0, 0.7, 3)
         weibull = WeibullBaselineSet(log_alpha=np.zeros(3), log_tau=log_tau)
         flat = BernsteinBaselineSet((0, 0, 0), [[lt] for lt in log_tau],
-                                    bernstein_supports(data, truncation))
-        evs = [BetaLikelihood(data, NuisanceParameters(params.nuisance.gamma, spec),
-                              truncation=truncation) for spec in (weibull, flat)]
+                                    bernstein_supports(data))
+        evs = [BetaLikelihood(data, NuisanceParameters(params.nuisance.gamma, spec))
+               for spec in (weibull, flat)]
         b = params.beta.stacked
         assert evs[1].loglik(b) == pytest.approx(evs[0].loglik(b), rel=1e-12, abs=0.0)
         assert _max_rel(evs[1].gradient(b), evs[0].gradient(b)) <= 1e-12
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @CALENDAR
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
            data=st.data())
@@ -475,8 +460,7 @@ class TestCoreInvariants:
         parts = [Dataset.from_arrays(*(arr[k][mask] for k in (
             "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
             for mask in (part, ~part)]
-        evs = [BetaLikelihood(x, params.nuisance, truncation=truncation)
-               for x in [ds] + parts]
+        evs = [BetaLikelihood(x, params.nuisance) for x in [ds] + parts]
         b = params.beta.stacked
         ll = [ev.loglik(b) for ev in evs]
         assert ll[1] + ll[2] == pytest.approx(ll[0], rel=1e-12, abs=0.0)
@@ -485,7 +469,7 @@ class TestCoreInvariants:
             np.max(np.abs(g[1])) + np.max(np.abs(g[2])))
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
-    @pytest.mark.parametrize("truncation", ["calendar", "gap"])
+    @CALENDAR
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(10, 60), d=st.integers(1, 4),
            trunc_upper=st.sampled_from([0.0, 0.4]), log_c=st.floats(-2.0, 2.0))
@@ -512,12 +496,12 @@ class TestCoreInvariants:
         else:
             degrees = (2, 2, 3)
             coeffs = [rng.normal(-1.0, 0.5, m + 1) for m in degrees]
-            supports = bernstein_supports(data, truncation)
+            supports = bernstein_supports(data)
             spec = BernsteinBaselineSet(degrees, coeffs, supports)
             moved = BernsteinBaselineSet(degrees, [phi - log_c for phi in coeffs],
                                          [(c * lo, c * hi) for lo, hi in supports])
         gamma = params.nuisance.gamma
-        ev, ev_c = (BetaLikelihood(x, NuisanceParameters(gamma, s), truncation=truncation)
+        ev, ev_c = (BetaLikelihood(x, NuisanceParameters(gamma, s))
                     for x, s in ((data, spec), (scaled, moved)))
         b = params.beta.stacked
         events = arr["delta1"].sum() + arr["delta2"].sum()

@@ -33,10 +33,11 @@ def test_demo_runs(demo, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  ROOT / "perfbench" / "tracing.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module         # dataclasses look the module up
     spec.loader.exec_module(module)
     return module
 
@@ -44,9 +45,23 @@ def _tracing():
 def test_every_traced_name_resolves():
     # the tracer skips a name it cannot find, and its layer then reads 0;
     # a rename or a dropped import must fail here instead
-    tracing = _tracing()
+    tracing = _perfbench("tracing")
     sites = [(module, cls, attr) for _, module, cls, attr in tracing.TARGETS]
     sites += [(module, None, attr) for _, module, attr in tracing.CAPTURED]
     missing = [site for site in sites
                if not tracing._present(tracing._owner(site[0], site[1]), site[2])]
     assert missing == []
+
+
+def test_benchmark_answer_check_accepts_a_fit(monkeypatch):
+    # the benchmark recomputes each fit's log-likelihood with
+    # scrbar.log_likelihood(..., truncation=cfg.truncation); a fit it cannot
+    # check would make every benchmark run fail
+    from scrbar import FitConfig, fit_unpenalized
+    from _helpers import small_dataset
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))    # workloads imports tracing
+    workloads = _perfbench("workloads")
+    data, cfg = small_dataset(n=60, d=3, seed=54), FitConfig(baseline="weibull")
+    res = workloads.OpResult(0.0, False, {}, [],
+                             fit_calls=[((data, cfg), fit_unpenalized(data, cfg))])
+    assert workloads.fit_problems(res) == []

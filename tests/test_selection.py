@@ -583,21 +583,20 @@ def truncated():
 
 
 class TestFitConvention:
-    """Selection evaluates the likelihood with the quadrature and truncation
-    convention the fit recorded, and ``cfg.kind`` alone decides the step and
-    the weights."""
+    """Selection evaluates the likelihood the fit recorded, and ``cfg.kind``
+    alone decides the step and the weights."""
 
-    def test_gap_weibull_path_scores_the_gap_likelihood(self, truncated):
-        nu = fit_unpenalized(truncated, FitConfig(baseline="weibull", truncation="gap"))
+    def test_weibull_path_scores_the_fit_likelihood(self, truncated):
+        nu = fit_unpenalized(truncated, FitConfig(baseline="weibull"))
         res = gcv_select(truncated, nu, PenaltyConfig(kind="bar"))
-        ev = BetaLikelihood(truncated, nu.params.nuisance, truncation="gap")
+        ev = BetaLikelihood(truncated, nu.params.nuisance, nu.config.quadrature)
         scored = [row for row in res.table if row["ok"]]
         assert len(scored) == len(res.path) > 0
         for row, est in zip(scored, res.path):
             assert row["loglik"] == ev.loglik(est.beta_hat)
 
-    def test_gap_bernstein_selects_on_truncated_data(self, truncated):
-        nu = fit_unpenalized(truncated, FitConfig(baseline="bernstein", truncation="gap"))
+    def test_bernstein_selects_on_truncated_data(self, truncated):
+        nu = fit_unpenalized(truncated, FitConfig(baseline="bernstein"))
         res = gcv_select(truncated, nu, PenaltyConfig(kind="bar"))
         assert all(row["ok"] for row in res.table)
         assert res.best.support.size > 0
@@ -710,14 +709,13 @@ class TestBarFixedPointProperty:
     point is the Newton step of the surrogate refreshed there."""
 
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), n=st.integers(50, 90), d=st.integers(2, 4),
-           truncation=st.sampled_from(["calendar", "gap"]))
-    def test_lambda_zero_fixed_point_is_newton_step(self, seed, n, d, truncation):
+    @given(seed=st.integers(0, 10_000), n=st.integers(50, 90), d=st.integers(2, 4))
+    def test_lambda_zero_fixed_point_is_newton_step(self, seed, n, d):
         data = small_dataset(n=n, d=d, seed=seed)
-        nu = fit_unpenalized(data, FitConfig(baseline="weibull", truncation=truncation))
+        nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
         est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
         assert est.converged and est.support.size == data.p
-        ev = BetaLikelihood(data, nu.params.nuisance, truncation=truncation)
+        ev = BetaLikelihood(data, nu.params.nuisance)
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
                          ev.hessian(est.beta_hat))
         newton = np.linalg.solve(pd.X.T @ pd.X, pd.X.T @ pd.W)
