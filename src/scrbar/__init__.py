@@ -15,7 +15,6 @@ cli          CSV front end and replication harness
 
 from .baselines import (
     BernsteinBaselineSet,
-    QuadratureRule,
     WeibullBaselineSet,
     bernstein_basis,
     bernstein_log_hazard,

@@ -4,11 +4,11 @@ Two specifications are supported: a parametric Weibull family with
 hazard ``alpha * tau * t**(alpha - 1)`` per transition, and a
 semiparametric sieve in which the log baseline hazard is a Bernstein
 polynomial on a bounded support.  Weibull cumulative hazards are closed
-form; Bernstein cumulative hazards are integrated with fixed-order
+form; Bernstein cumulative hazards are integrated with one rule, 32-point
 Gauss-Legendre quadrature (the integrand exp(polynomial) is smooth).
 
 Each baseline set evaluates itself: ``log_hazard(t, j)`` and
-``log_cumhaz(t, j, quad)`` are methods of ``WeibullBaselineSet`` and
+``log_cumhaz(t, j)`` are methods of ``WeibullBaselineSet`` and
 ``BernsteinBaselineSet``, so a spec's class decides its kind.  The free
 functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
 ``bernstein_log_hazard`` are entry points to those methods.
@@ -17,6 +17,7 @@ functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "WeibullBaselineSet",
     "BernsteinBaselineSet",
-    "QuadratureRule",
     "bernstein_basis",
     "bernstein_basis_matrix",
     "bernstein_log_hazard",
@@ -76,9 +76,9 @@ class WeibullBaselineSet:
         a = self.alpha[j - 1]
         return self.log_alpha[j - 1] + self.log_tau[j - 1] + (a - 1.0) * np.log(t)
 
-    def log_cumhaz(self, t, j: int, quad):
-        """log tau_j + alpha_j log t at times t >= 0, -inf at t = 0; the
-        closed form needs no quadrature."""
+    def log_cumhaz(self, t, j: int):
+        """log tau_j + alpha_j log t at times t >= 0, -inf at t = 0, in
+        closed form."""
         if np.any(np.less(t, 0)):
             raise ValueError("negative time in log_cumulative_hazard")
         with np.errstate(divide="ignore"):
@@ -124,28 +124,11 @@ class BernsteinBaselineSet:
         c, u = self.supports[j - 1]
         return bernstein_basis_matrix(t, self.degrees[j - 1], c, u) @ self.coeffs[j - 1]
 
-    def log_cumhaz(self, t, j: int, quad):
-        """log Lambda_j at times t in [0, u_j] by ``quad``-point
-        Gauss-Legendre quadrature, as an array."""
-        table = _BernsteinTable(t, self.degrees[j - 1], self.supports[j - 1], quad)
+    def log_cumhaz(self, t, j: int):
+        """log Lambda_j at times t in [0, u_j] by 32-point Gauss-Legendre
+        quadrature, as an array."""
+        table = _BernsteinTable(t, self.degrees[j - 1], self.supports[j - 1])
         return table.log_cumhaz(table.scores(self.coeffs[j - 1]))
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Fixed-order quadrature settings for Bernstein cumulative hazards."""
-
-    nodes: int = 32                     # Gauss-Legendre order
-
-    def __post_init__(self):
-        if self.nodes < 2:
-            raise ValueError("quadrature needs at least 2 nodes")
-
-    def points(self):
-        return np.polynomial.legendre.leggauss(self.nodes)
-
-
-DEFAULT_QUADRATURE = QuadratureRule()
 
 
 def _rescale(t, c, u):
@@ -257,6 +240,15 @@ def _row_softmax(e):
     return e / e.sum(axis=1, keepdims=True)
 
 
+@cache
+def _gauss_legendre():
+    """32-point Gauss-Legendre nodes and log weights on [-1, 1], the one rule
+    for Bernstein cumulative hazards; built on first use, since its eigenvalue
+    solve adds ~0.8 MB resident to a run that never needs it."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    return x, np.log(w)
+
+
 class _BernsteinTable:
     """Gauss-Legendre layout of Bernstein cumulative hazards at fixed times.
 
@@ -265,7 +257,7 @@ class _BernsteinTable:
     only the coefficient vector phi moves between evaluations.
     """
 
-    def __init__(self, t, m, support, quad):
+    def __init__(self, t, m, support):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         c, u = support
         if c > 0:
@@ -273,13 +265,11 @@ class _BernsteinTable:
         if np.any(t < 0):
             raise ValueError("negative time in cumulative_hazard")
         _rescale(t, c, u)  # domain check incl. upper-end slack
-        x, w = quad.points()
+        x, self.log_w = _gauss_legendre()
         nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
-        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(
-            len(t), quad.nodes, m + 1)
+        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(len(t), x.size, m + 1)
         with np.errstate(divide="ignore"):
             self.log_half_t = np.log(0.5 * t)
-        self.log_w = np.log(w)
 
     def scores(self, phi):
         """log w_q + B(u_q) phi: the log quadrature terms, one row per time,
@@ -296,19 +286,19 @@ class _BernsteinTable:
         return np.einsum("iq,iqr->ir", _row_softmax(e), self.B)
 
 
-def cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
+def cumulative_hazard(t, spec, j: int):
     """Cumulative baseline hazard of transition j (1-based) at time(s) t:
     the exponential of ``log_cumulative_hazard``.
 
-    Weibull: closed form tau * t**alpha.  Bernstein: quadrature estimate of
-    the integral of the sieve hazard over [0, t]; requires t within the
-    transition's support.
+    Weibull: closed form tau * t**alpha.  Bernstein: 32-point Gauss-Legendre
+    estimate of the integral of the sieve hazard over [0, t]; requires t
+    within the transition's support.
     """
-    return np.exp(log_cumulative_hazard(t, spec, j, quad))
+    return np.exp(log_cumulative_hazard(t, spec, j))
 
 
-def log_cumulative_hazard(t, spec, j: int, quad: QuadratureRule = DEFAULT_QUADRATURE):
+def log_cumulative_hazard(t, spec, j: int):
     """log of cumulative_hazard, computed without overflow (-inf at t = 0):
     ``spec.log_cumhaz`` on the times as an array, a float for a scalar t."""
-    out = spec.log_cumhaz(np.atleast_1d(np.asarray(t, dtype=float)), j, quad)
+    out = spec.log_cumhaz(np.atleast_1d(np.asarray(t, dtype=float)), j)
     return float(out[0]) if np.ndim(t) == 0 else out

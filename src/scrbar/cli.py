@@ -58,6 +58,9 @@ __all__ = [
 
 TRANSITION_LABELS = ("CR", "Death", "Death following CR")
 
+# times per transition at which hazard_curves.csv samples the hazards
+_HAZARD_GRID_POINTS = 100
+
 
 class SchemaError(ValueError):
     """Malformed input CSV or config file (exit code 1)."""
@@ -468,7 +471,7 @@ def _coef_table(names, beta, fh, eps=None):
         fh.write(f"{nm:<16}" + cells[0] + cells[1] + cells[2].rjust(16) + "\n")
 
 
-def _hazard_curves(scenario, reference: FitResult, n_points=100):
+def _hazard_curves(scenario, reference: FitResult):
     """true-vs-estimated hazard samples per transition on uniform grids:
     up to the fitted support's end for a Bernstein fit, and up to the time
     at which the true cumulative hazard reaches 1 for a Weibull fit."""
@@ -480,7 +483,7 @@ def _hazard_curves(scenario, reference: FitResult, n_points=100):
             tmax = spec.supports[j - 1][1]
         else:
             tmax = np.exp(-truth.log_tau[j - 1] / truth.alpha[j - 1])
-        grid = np.linspace(tmax / n_points, tmax, n_points)
+        grid = np.linspace(tmax / _HAZARD_GRID_POINTS, tmax, _HAZARD_GRID_POINTS)
         cols = [np.exp(b.log_hazard(grid, j)) for b in (truth, spec)]
         cols += [cumulative_hazard(grid, b, j) for b in (truth, spec)]
         rows += [(j, t, *vals) for t, *vals in zip(grid, *cols)]
@@ -492,13 +495,13 @@ def _hazard_curves(scenario, reference: FitResult, n_points=100):
 # ---------------------------------------------------------------------------
 
 def _fit_config_from_args(args, data) -> FitConfig:
-    """The fit policy the flags ask for.  With ``--degrees bic`` the
-    Bernstein degrees are chosen by BIC and ``bic_table.csv`` is written to
-    the output directory."""
+    """The fit policy the flags ask for.  ``--degrees`` needs a Bernstein
+    baseline; with ``--degrees bic`` the degrees are chosen by BIC and
+    ``bic_table.csv`` is written to the output directory."""
     cfg = FitConfig(baseline=args.baseline)
+    if args.degrees is not None and args.baseline != "bernstein":
+        raise SchemaError(f"--degrees {args.degrees} requires --baseline bernstein")
     if args.degrees == "bic":
-        if args.baseline != "bernstein":
-            raise SchemaError("--degrees bic requires --baseline bernstein")
         cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
         best, table = bic_degree_select(data, cand, cfg)
         rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],

@@ -45,6 +45,11 @@ _BERNOULLI_GROUPS = (1, 3)
 
 _MAX_DRAWS_PER_SUBJECT = 2000
 
+# censoring calibration: probe size, rate tolerance, step cap per search
+_CALIBRATION_PROBE_N = 5000
+_CALIBRATION_TOL = 0.01
+_CALIBRATION_MAX_ITER = 60
+
 
 class ScenarioError(RuntimeError):
     """Scenario settings make generation impossible (e.g. truncation so
@@ -262,8 +267,7 @@ def _censoring_rate(scenario, censor_upper, seed, n_probe):
 
 
 def calibrate_censoring(scenario: SimulationScenario, target: float,
-                        rng: np.random.Generator, n_probe: int = 5000,
-                        tol: float = 0.01, max_iter: int = 60) -> float:
+                        rng: np.random.Generator) -> float:
     """Censoring-law upper bound reproducing the target delta2-censoring rate.
 
     Bisects on the Uniform(0, c) scale against a Monte Carlo probe with
@@ -279,24 +283,24 @@ def calibrate_censoring(scenario: SimulationScenario, target: float,
         raise ValueError("target censoring rate must be in (0, 1)")
     seed = int(rng.integers(2**63))
     lo, hi = 1e-8, 1.0
-    for _ in range(max_iter):
-        if _censoring_rate(scenario, hi, seed, n_probe) < target:
+    for _ in range(_CALIBRATION_MAX_ITER):
+        if _censoring_rate(scenario, hi, seed, _CALIBRATION_PROBE_N) < target:
             break
         hi *= 4.0
     else:
         raise ScenarioError(f"censoring target {target} unreachable (search bound {hi:g})")
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        rate = _censoring_rate(scenario, mid, seed, n_probe)
-        if abs(rate - target) <= tol:
+        rate = _censoring_rate(scenario, mid, seed, _CALIBRATION_PROBE_N)
+        if abs(rate - target) <= _CALIBRATION_TOL:
             return mid
         if rate > target:
             lo = mid
         else:
             hi = mid
     raise ScenarioError(
-        f"censoring calibration did not reach +-{tol:.0%} of {target:.0%} "
-        f"in {max_iter} bisection steps")
+        f"censoring calibration did not reach +-{_CALIBRATION_TOL:.0%} of {target:.0%} "
+        f"in {_CALIBRATION_MAX_ITER} bisection steps")
 
 
 def calibrate_truncation(scenario: SimulationScenario, rng: np.random.Generator,

@@ -19,9 +19,7 @@ import numpy as np
 import scipy.optimize
 
 from .baselines import (
-    DEFAULT_QUADRATURE,
     BernsteinBaselineSet,
-    QuadratureRule,
     WeibullBaselineSet,
     _BernsteinTable,
     bernstein_basis_matrix,
@@ -49,14 +47,14 @@ _GTOL = 5e-4
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Fitting policy: baseline mode, Bernstein degrees and quadrature.
-    Left truncation always uses the calendar adjustment (see the likelihood
-    module)."""
+    """Fitting policy: baseline mode and Bernstein degrees.  Quadrature has
+    one rule (see the baselines module) and left truncation one convention,
+    the calendar adjustment (see the likelihood module)."""
 
     baseline: str = "weibull"           # "weibull" | "bernstein"
     degrees: tuple = (2, 2, 3)
-    quadrature: QuadratureRule = DEFAULT_QUADRATURE   # Bernstein cumulative hazards
-    # read by perfbench/workloads.py::fit_problems; not a field
+    # read by perfbench/workloads.py::fit_problems; not fields
+    quadrature: ClassVar[None] = None
     truncation: ClassVar[str] = "calendar"
 
     def __post_init__(self):
@@ -70,15 +68,13 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fitted parameters plus convergence diagnostics, and the ``FitConfig``
-    the fit used: selection evaluates the likelihood with its quadrature."""
+    """Fitted parameters plus convergence diagnostics."""
 
     params: ModelParameters
     loglik: float
     converged: bool
     n_iter: int
     grad_norm: float
-    config: FitConfig
 
 
 def bernstein_supports(data: Dataset) -> tuple:
@@ -165,7 +161,7 @@ class _Bernstein:
         self.supports = bernstein_supports(data)
 
         def table(t, j):
-            return _BernsteinTable(t, cfg.degrees[j], self.supports[j], cfg.quadrature)
+            return _BernsteinTable(t, cfg.degrees[j], self.supports[j])
         self.tables = [table(core.interval[j], j) for j in range(3)]
         self.tables_entry = (None if core.entry is None
                              else [table(core.entry, j) for j in range(2)])
@@ -290,7 +286,7 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
         loglik=-float(res.fun),
         converged=bool(grad_norm < _GTOL),
         n_iter=int(res.nit),
-        grad_norm=grad_norm, config=cfg)
+        grad_norm=grad_norm)
 
 
 def bic_degree_select(data: Dataset, candidates, cfg: FitConfig = FitConfig()):

@@ -38,13 +38,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .baselines import (
-    DEFAULT_QUADRATURE,
-    QuadratureRule,
-    _logsumexp3,
-    cumulative_hazard,
-    log_cumulative_hazard,
-)
+from .baselines import _logsumexp3, cumulative_hazard, log_cumulative_hazard
 from .domain import Dataset, ModelParameters, SubjectRecord
 
 __all__ = [
@@ -226,16 +220,16 @@ class BetaLikelihood:
     caller may write into.
     """
 
-    def __init__(self, data: Dataset, nuisance, quad: QuadratureRule = DEFAULT_QUADRATURE):
+    def __init__(self, data: Dataset, nuisance):
         core = self.core = _Core(data)
         self.dims, self.p, self.n = core.dims, core.p, core.n
         self.log_gamma = np.log(nuisance.gamma)
         spec = nuisance.baseline
-        log_t = [log_cumulative_hazard(core.interval[j], spec, j + 1, quad)
+        log_t = [log_cumulative_hazard(core.interval[j], spec, j + 1)
                  for j in range(3)]
         log_ratio = [None, None, None]
         if core.entry is not None:
-            log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1, quad) - log_t[j]
+            log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1) - log_t[j]
                              for j in range(2)]
         self.log_base, _ = core.log_bases(log_t, log_ratio)
         self.ev = [float(np.sum(spec.log_hazard(core.ev_times[j], j + 1)))
@@ -265,8 +259,7 @@ class BetaLikelihood:
         return H.copy() if idx is None else H
 
 
-def risk_terms(rec: SubjectRecord, params: ModelParameters,
-               quad: QuadratureRule = DEFAULT_QUADRATURE) -> RiskTerms:
+def risk_terms(rec: SubjectRecord, params: ModelParameters) -> RiskTerms:
     """Cumulative-risk factors g1, g2 of one subject.
 
     g1 = Lambda03(y2-y1) exp(b3'z3) when the non-terminal event was
@@ -276,44 +269,42 @@ def risk_terms(rec: SubjectRecord, params: ModelParameters,
     spec = params.nuisance.baseline
     b = params.beta
     if rec.delta1 == 1:
-        g1 = cumulative_hazard(rec.y2 - rec.y1, spec, 3, quad) * np.exp(b.beta3 @ rec.z3)
+        g1 = cumulative_hazard(rec.y2 - rec.y1, spec, 3) * np.exp(b.beta3 @ rec.z3)
     else:
         g1 = 0.0
-    L1 = cumulative_hazard(rec.y1, spec, 1, quad) - cumulative_hazard(rec.l, spec, 1, quad)
-    L2 = cumulative_hazard(rec.y1, spec, 2, quad) - cumulative_hazard(rec.l, spec, 2, quad)
+    L1 = cumulative_hazard(rec.y1, spec, 1) - cumulative_hazard(rec.l, spec, 1)
+    L2 = cumulative_hazard(rec.y1, spec, 2) - cumulative_hazard(rec.l, spec, 2)
     g2 = L1 * np.exp(b.beta1 @ rec.z1) + L2 * np.exp(b.beta2 @ rec.z2)
     return RiskTerms(g1=float(g1), g2=float(g2))
 
 
-def log_likelihood(params: ModelParameters, data: Dataset,
-                   quad: QuadratureRule = DEFAULT_QUADRATURE,
+def log_likelihood(params: ModelParameters, data: Dataset, quad=None,
                    truncation: str = "calendar") -> float:
     """Frailty-marginalized log-likelihood of the dataset."""
-    # the keyword stays for perfbench/workloads.py::fit_problems, which passes it
+    # both keywords stay for perfbench/workloads.py::fit_problems
+    if quad is not None:
+        raise ValueError(f"Bernstein quadrature is fixed at 32 points, got {quad!r}")
     if truncation != "calendar":
         raise ValueError(f"unknown truncation convention {truncation!r}")
-    ev = BetaLikelihood(data, params.nuisance, quad)
+    ev = BetaLikelihood(data, params.nuisance)
     return ev.loglik(params.beta.stacked)
 
 
-def gradient_beta(params: ModelParameters, data: Dataset,
-                  quad: QuadratureRule = DEFAULT_QUADRATURE) -> np.ndarray:
+def gradient_beta(params: ModelParameters, data: Dataset) -> np.ndarray:
     """Gradient of the log-likelihood in the stacked coefficient vector,
     nuisance parameters held fixed."""
-    ev = BetaLikelihood(data, params.nuisance, quad)
+    ev = BetaLikelihood(data, params.nuisance)
     return ev.gradient(params.beta.stacked)
 
 
-def hessian_beta(params: ModelParameters, data: Dataset,
-                 quad: QuadratureRule = DEFAULT_QUADRATURE) -> np.ndarray:
+def hessian_beta(params: ModelParameters, data: Dataset) -> np.ndarray:
     """Hessian of the log-likelihood in the stacked coefficient vector
     (exactly symmetric)."""
-    ev = BetaLikelihood(data, params.nuisance, quad)
+    ev = BetaLikelihood(data, params.nuisance)
     return ev.hessian(params.beta.stacked)
 
 
 def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
-                            quad: QuadratureRule = DEFAULT_QUADRATURE,
                             rtol: float = 1e-11) -> float:
     """Marginal likelihood of one record by adaptive quadrature over the
     frailty, bypassing the closed-form gamma integral entirely.
@@ -325,7 +316,7 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
     gamma = params.nuisance.gamma
     spec = params.nuisance.baseline
     b = params.beta
-    rt = risk_terms(rec, params, quad)
+    rt = risk_terms(rec, params)
     S = rt.g1 + rt.g2
     k = rec.delta1 + rec.delta2
 

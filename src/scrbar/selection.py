@@ -1,7 +1,7 @@
 """Penalized selection on the quadratic surrogate.
 
 Selection takes an unpenalized fit and a ``PenaltyConfig``, nothing else:
-the likelihood uses the fit's recorded quadrature, and the penalty kind
+the likelihood is evaluated at the fit's nuisance, and the penalty kind
 fixes the weights (``_problem``).  ``penalized_solve`` solves at one
 lambda; ``gcv_select`` walks the grid.
 
@@ -80,12 +80,14 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in ("bar", "lasso", "alasso"):
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.lambda_grid is not None:
             grid = np.asarray(self.lambda_grid, dtype=float)
-            if grid.size == 0 or np.any(grid <= 0):
-                raise ValueError("lambda grid must be nonempty and positive")
+            if grid.ndim != 1 or grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
+                raise ValueError("lambda grid must be 1-d, nonempty, positive and finite")
             object.__setattr__(self, "lambda_grid", grid)
 
 
@@ -286,10 +288,10 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
 
 
 def _problem(data: Dataset, nu_tilde, cfg: PenaltyConfig):
-    """The beta-likelihood at the fit's nuisance and quadrature, and the L1
-    weights of ``cfg.kind``: None for BAR, ones for LASSO, and
-    ``alasso_weights`` of the unpenalized coefficients for ALASSO."""
-    ev = BetaLikelihood(data, nu_tilde.params.nuisance, nu_tilde.config.quadrature)
+    """The beta-likelihood at the fit's nuisance, and the L1 weights of
+    ``cfg.kind``: None for BAR, ones for LASSO, and ``alasso_weights`` of
+    the unpenalized coefficients for ALASSO."""
+    ev = BetaLikelihood(data, nu_tilde.params.nuisance)
     if cfg.kind == "lasso":
         return ev, np.ones(ev.p)
     if cfg.kind == "alasso":
@@ -299,8 +301,10 @@ def _problem(data: Dataset, nu_tilde, cfg: PenaltyConfig):
 
 def penalized_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
                     beta_init=None) -> PenalizedEstimate:
-    """The ``cfg.kind`` penalized estimate at one lambda, from ``beta_init``
-    or else the unpenalized estimate, with the nuisance fixed at the fit's."""
+    """The ``cfg.kind`` penalized estimate at one lambda >= 0, from
+    ``beta_init`` or else the unpenalized estimate, nuisance fixed at the fit's."""
+    if not 0.0 <= lam < np.inf:
+        raise ValueError(f"lambda must be non-negative and finite, got {lam!r}")
     ev, weights = _problem(data, nu_tilde, cfg)
     start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
     return _solve(ev, start, lam, cfg, weights)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from scrbar import (
     BernsteinBaselineSet,
@@ -45,6 +46,15 @@ def random_params(data, rng, baseline="weibull", gamma=None, degrees=(2, 2, 3)):
             degrees, [rng.normal(-1.0, 0.5, m + 1) for m in degrees],
             bernstein_supports(data))
     return ModelParameters(beta=beta, nuisance=NuisanceParameters(g, spec))
+
+
+def adaptive_cumhaz(t, spec, j):
+    """Cumulative hazard of transition j at each time in t by adaptive
+    integration of exp(log hazard), independent of the package's rule."""
+    return np.array([
+        scipy.integrate.quad(lambda s: np.exp(spec.log_hazard(np.array([s]), j)[0]),
+                             0.0, ti, epsabs=0.0, epsrel=1e-13)[0]
+        for ti in t])
 
 
 def unit_weibull(gamma=1.0):

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 
 from scrbar import (
     BernsteinBaselineSet,
-    QuadratureRule,
     WeibullBaselineSet,
     bernstein_basis,
     bernstein_log_hazard,
@@ -15,7 +14,14 @@ from scrbar import (
     weibull_hazard,
     weibull_inverse_cumhaz,
 )
-from scrbar.baselines import _logsumexp3, _row_logsumexp, _row_shift, _row_softmax
+from scrbar.baselines import (
+    _BernsteinTable,
+    _logsumexp3,
+    _row_logsumexp,
+    _row_shift,
+    _row_softmax,
+)
+from _helpers import adaptive_cumhaz
 
 
 def flat_bernstein(value=0.0, degrees=(2, 2, 3), u=10.0):
@@ -140,15 +146,24 @@ class TestCumulativeHazard:
             vals = cumulative_hazard(ts, spec, 2)
             assert np.all(np.diff(vals) >= -1e-12)
 
-    def test_quadrature_convergence_on_doubling(self):
+    def test_quadrature_matches_adaptive_integration(self):
         rng = np.random.default_rng(9)
         b = BernsteinBaselineSet((4, 4, 4),
                                  [rng.normal(0, 1.5, 5) for _ in range(3)],
                                  [(0.0, 8.0)] * 3)
         t = np.array([0.3, 1.7, 5.5, 8.0])
-        v32 = cumulative_hazard(t, b, 1, QuadratureRule(32))
-        v64 = cumulative_hazard(t, b, 1, QuadratureRule(64))
-        assert np.max(np.abs(v64 - v32) / v32) < 1e-8
+        v32 = cumulative_hazard(t, b, 1)
+        ref = adaptive_cumhaz(t, b, 1)
+        assert np.max(np.abs(ref - v32) / v32) < 1e-8
+
+    def test_one_32_point_rule(self):
+        # the rule is fixed, not a setting
+        import scrbar
+        assert not hasattr(scrbar, "QuadratureRule")
+        table = _BernsteinTable(np.array([0.5, 2.0]), 3, (0.0, 4.0))
+        assert table.B.shape == (2, 32, 4)
+        np.testing.assert_array_equal(table.log_w,
+                                      np.log(np.polynomial.legendre.leggauss(32)[1]))
 
     def test_bernstein_domain_error(self):
         with pytest.raises(ValueError):
@@ -191,11 +206,6 @@ class TestHazardAgreement:
         np.testing.assert_allclose(cumulative_hazard(t, spec, j),
                                    spec.tau[j - 1] * t ** spec.alpha[j - 1],
                                    rtol=1e-13, atol=0)
-
-
-def test_quadrature_rule_validation():
-    with pytest.raises(ValueError):
-        QuadratureRule(nodes=1)
 
 
 # a few repeated values make ties for the row maximum, -inf makes rows with

@@ -448,19 +448,24 @@ class TestLambdaGridInputs:
 
 
 class TestDegreesFlag:
-    """A malformed, negative or short ``--degrees`` is a usage error (exit 1)
-    found before any fit."""
+    """A malformed, negative or short ``--degrees``, and any ``--degrees``
+    without a Bernstein baseline, is a usage error (exit 1) found before any
+    fit."""
 
     @pytest.mark.parametrize("command", ["fit", "select"])
-    @pytest.mark.parametrize("value", ["2,2,x", "-1,2,3", "2,2"])
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--baseline", "bernstein", "--degrees=2,2,x"], id="2,2,x"),
+        pytest.param(["--baseline", "bernstein", "--degrees=-1,2,3"], id="-1,2,3"),
+        pytest.param(["--baseline", "bernstein", "--degrees=2,2"], id="2,2"),
+        pytest.param(["--baseline", "weibull", "--degrees=5,5,5"], id="weibull-5,5,5"),
+    ])
     def test_rejected_before_fitting(self, sim_csv, tmp_path, monkeypatch, capsys,
-                                     command, value):
+                                     command, flags):
         import scrbar.cli as cli_mod
         monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
         monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
         path, _, _ = sim_csv
-        rc = main([command, path, "--baseline", "bernstein", f"--degrees={value}",
-                   "--out", str(tmp_path / "bad")])
+        rc = main([command, path, *flags, "--out", str(tmp_path / "bad")])
         assert rc == 1
         assert "--degrees" in capsys.readouterr().err
 

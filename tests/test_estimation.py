@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scrbar import (
     FitConfig,
+    FitResult,
     PenaltyConfig,
     RegressionCoefficients,
     bic_degree_select,
@@ -75,6 +76,15 @@ def test_truncation_is_not_a_fit_setting():
     assert FitConfig.truncation == FitConfig().truncation == "calendar"
     with pytest.raises(TypeError):
         FitConfig(truncation="calendar")
+
+
+def test_quadrature_is_not_a_fit_setting():
+    # Bernstein cumulative hazards have one 32-point rule; the class
+    # attribute is None, and a fit records no config
+    assert FitConfig.quadrature is FitConfig().quadrature is None
+    with pytest.raises(TypeError):
+        FitConfig(quadrature=None)
+    assert "config" not in {f.name for f in fields(FitResult)}
 
 
 class TestFitUnpenalized:

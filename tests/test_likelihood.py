@@ -274,6 +274,14 @@ class TestTruncationConvention:
         with pytest.raises(ValueError, match="unknown truncation convention 'gap'"):
             log_likelihood(params, data, truncation="gap")
 
+    def test_other_quadrature_refused(self):
+        # the keyword is kept only to accept None; the rule is fixed
+        data = small_dataset(n=10, seed=30)
+        params = random_params(data, np.random.default_rng(31), baseline="bernstein")
+        assert log_likelihood(params, data, quad=None) == log_likelihood(params, data)
+        with pytest.raises(ValueError, match="32 points"):
+            log_likelihood(params, data, quad=64)
+
     def test_oracle_agrees_under_calendar_convention(self):
         data = small_dataset(n=10, seed=30, trunc_upper=0.8)
         params = random_params(data, np.random.default_rng(31))

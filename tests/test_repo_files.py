@@ -53,15 +53,17 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-def test_benchmark_answer_check_accepts_a_fit(monkeypatch):
+@pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+def test_benchmark_answer_check_accepts_a_fit(monkeypatch, baseline):
     # the benchmark recomputes each fit's log-likelihood with
-    # scrbar.log_likelihood(..., truncation=cfg.truncation); a fit it cannot
-    # check would make every benchmark run fail
+    # scrbar.log_likelihood(..., quad=cfg.quadrature,
+    # truncation=cfg.truncation); a fit it cannot check would make every
+    # benchmark run fail
     from scrbar import FitConfig, fit_unpenalized
     from _helpers import small_dataset
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))    # workloads imports tracing
     workloads = _perfbench("workloads")
-    data, cfg = small_dataset(n=60, d=3, seed=54), FitConfig(baseline="weibull")
+    data, cfg = small_dataset(n=60, d=3, seed=54), FitConfig(baseline=baseline)
     res = workloads.OpResult(0.0, False, {}, [],
                              fit_calls=[((data, cfg), fit_unpenalized(data, cfg))])
     assert workloads.fit_problems(res) == []

@@ -85,6 +85,29 @@ class TestBarStep:
                 zeros = now
 
 
+class TestPenaltyDomain:
+    """Settings outside their domain are refused before any solve: a
+    negative or infinite lambda, no iterations, a tolerance that is not
+    positive and finite, and a grid that is not a 1-d array of positive
+    finite values.  lambda = 0 stays valid (the unpenalized fixed point)."""
+
+    @pytest.mark.parametrize("kw, lam", [
+        ({}, -1.0),
+        ({}, np.inf),
+        ({"max_iter": 0}, 1.0),
+        ({"tol": np.nan}, 1.0),
+        ({"tol": np.inf}, 1.0),
+        ({"lambda_grid": [np.inf]}, 1.0),
+        ({"lambda_grid": [1.0, np.nan]}, 1.0),
+        ({"lambda_grid": [[0.5, 1.0]]}, 1.0),
+    ], ids=["lam=-1", "lam=inf", "max_iter=0", "tol=nan", "tol=inf",
+            "grid=inf", "grid=nan", "grid-2d"])
+    def test_refused(self, fitted, kw, lam):
+        data, nu = fitted
+        with pytest.raises(ValueError):
+            penalized_solve(data, nu, lam, PenaltyConfig(**kw))
+
+
 class TestBarSolve:
     def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted):
         data, nu = fitted
@@ -583,13 +606,13 @@ def truncated():
 
 
 class TestFitConvention:
-    """Selection evaluates the likelihood the fit recorded, and ``cfg.kind``
-    alone decides the step and the weights."""
+    """Selection evaluates the likelihood at the fit's nuisance, and
+    ``cfg.kind`` alone decides the step and the weights."""
 
     def test_weibull_path_scores_the_fit_likelihood(self, truncated):
         nu = fit_unpenalized(truncated, FitConfig(baseline="weibull"))
         res = gcv_select(truncated, nu, PenaltyConfig(kind="bar"))
-        ev = BetaLikelihood(truncated, nu.params.nuisance, nu.config.quadrature)
+        ev = BetaLikelihood(truncated, nu.params.nuisance)
         scored = [row for row in res.table if row["ok"]]
         assert len(scored) == len(res.path) > 0
         for row, est in zip(scored, res.path):
