@@ -12,12 +12,20 @@ Each baseline set evaluates itself: ``log_hazard(t, j)`` and
 ``BernsteinBaselineSet``, so a spec's class decides its kind.  The free
 functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
 ``bernstein_log_hazard`` are entry points to those methods.
+
+The quadrature table ``_BernsteinTable`` is node-major: its log terms form
+a (32, n) array with one row per node, and the log-sum-exp and softmax over
+the nodes (``_col_logsumexp``, ``_col_softmax``) run as elementwise passes
+over those rows.  Their sums add in NumPy's pairwise order for a 32-term
+row (``_col_sum``), so the answers are those of a time-major table, one row
+of 32 per time, bit for bit.  The likelihood's frailty closed form uses the
+same kernels on its (3, n) terms, where the sums add in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -194,50 +202,65 @@ def weibull_inverse_cumhaz(x, alpha: float, tau: float):
     return val if val.ndim else float(val)
 
 
-def _row_shift(a):
-    """Row maxima of a 2-d array and exp(a - max): the step that the
-    row-wise log-sum-exp and softmax below share."""
-    mx = a.max(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):         # rows that are all -inf
+def _col_sum(x):
+    """Column sums of a (k, n) array x, k <= 128, equal bit for bit to the
+    row sums ``y.sum(axis=1)`` of its transpose y stored in C order.
+
+    NumPy adds a contiguous row of fewer than 8 terms in order, and a row of
+    8 to 128 terms pairwise: eight running sums r = x[0:8] + x[8:16] + ...
+    over whole blocks of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 + r5)
+    + (r6 + r7)), then the rest in order.  Here every step is an elementwise
+    pass over whole rows of x, which is much faster than reducing n short
+    rows.  (``x.T.sum(axis=1)`` on the strided view adds in order instead.)
+    """
+    k = len(x)
+    if k < 8:
+        return x.sum(axis=0)        # adds the rows in order
+    whole = k - k % 8
+    r = x[0:8].copy()
+    for i in range(8, whole, 8):
+        r += x[i:i + 8]
+    r = r[0::2] + r[1::2]
+    r = r[0::2] + r[1::2]
+    r = r[0] + r[1]
+    for i in range(whole, k):
+        r += x[i]
+    return r
+
+
+def _col_shift(a):
+    """Column maxima of a (k, n) array and exp(a - max): the step that the
+    column-wise log-sum-exp and softmax below share."""
+    mx = a.max(axis=0)
+    with np.errstate(invalid="ignore"):         # columns that are all -inf
         return mx, np.exp(a - mx)
 
 
-def _row_logsumexp(a, shift=None):
-    """log sum_q exp(a[i, q]) per row, from ``_row_shift(a)`` when given.
+def _col_logsumexp(a, shift=None):
+    """log sum_q exp(a[q, i]) per column of a C-ordered (k, n) array, from
+    ``_col_shift(a)`` when given.
 
-    Follows the arithmetic of ``scipy.special.logsumexp(a, axis=1)``
-    (SciPy 1.17) step for step, so the two agree bit for bit: the m entries
-    equal to the row maximum are left out of the sum s of the shifted
+    Follows the arithmetic of ``scipy.special.logsumexp(y, axis=1)`` (SciPy
+    1.17) on the transpose y of a stored in C order step for step, and sums
+    in its order (``_col_sum``), so the two agree bit for bit: the m entries
+    equal to the column maximum are left out of the sum s of the shifted
     exponentials, s is divided by m, and the result is
     log1p(s) + log(m) + max.
     """
-    mx, e = _row_shift(a) if shift is None else shift
+    mx, e = _col_shift(a) if shift is None else shift
     hit = a == mx
-    m = hit.sum(axis=1, dtype=float)
-    s = np.where(hit, 0.0, e).sum(axis=1)
-    s = np.where(s != 0.0, s / m, s)
-    return np.log1p(s) + np.log(m) + mx[:, 0]
-
-
-def _logsumexp3(a):
-    """``_row_logsumexp(a.T)`` for a C-ordered (3, n) array ``a``: the same
-    steps, and with three terms the sums over axis 0 add in the same order
-    as the row sums, so the two agree bit for bit.  Reducing over the
-    leading axis of the (3, n) layout avoids the slow short-row reductions."""
-    mx = a.max(axis=0)
-    hit = a == mx
-    with np.errstate(invalid="ignore"):         # columns that are all -inf
-        e = np.exp(a - mx)
-    s = np.where(hit, 0.0, e).sum(axis=0)
     m = hit.sum(axis=0, dtype=float)
+    s = e.copy()
+    np.copyto(s, 0.0, where=hit)        # faster than np.where on (32, n)
+    s = _col_sum(s)
     s = np.where(s != 0.0, s / m, s)
     return np.log1p(s) + np.log(m) + mx
 
 
-def _row_softmax(e):
-    """Row-wise softmax from the shifted exponentials of ``_row_shift``:
-    scipy.special.softmax's formula."""
-    return e / e.sum(axis=1, keepdims=True)
+def _col_softmax(e):
+    """Column-wise softmax from the shifted exponentials of ``_col_shift``:
+    scipy.special.softmax's formula, summed in its order."""
+    return e / _col_sum(e)
 
 
 @cache
@@ -255,6 +278,15 @@ class _BernsteinTable:
     Lambda(t) = t/2 * sum_q w_q exp(B(u_q) phi) with nodes u_q = t/2 (x_q + 1).
     With the times fixed the basis values at every node are constants, so
     only the coefficient vector phi moves between evaluations.
+
+    The layout is node-major: row q n + i of ``B``, shape (32 n, m+1), is the
+    basis at node q of time i, so ``B @ phi`` is the same row-by-row dgemv
+    as on a time-major table and reshapes to (32, n), one row per node.
+    Every reduction over the nodes is then an elementwise pass over 32 rows
+    of n instead of a reduction of n rows of 32, and the sums add in NumPy's
+    pairwise order for a 32-term row (``_col_sum``), so log Lambda and its
+    derivative are bit for bit those of a time-major table.  ``BT`` holds
+    the basis once more as (m+1, 32, n) for the derivative's contraction.
     """
 
     def __init__(self, t, m, support):
@@ -266,24 +298,39 @@ class _BernsteinTable:
             raise ValueError("negative time in cumulative_hazard")
         _rescale(t, c, u)  # domain check incl. upper-end slack
         x, self.log_w = _gauss_legendre()
-        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
-        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(len(t), x.size, m + 1)
+        nodes = np.minimum(0.5 * t * (x[:, None] + 1.0), u)
+        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u)
         with np.errstate(divide="ignore"):
             self.log_half_t = np.log(0.5 * t)
 
+    @cached_property
+    def BT(self):
+        """The basis as (m+1, 32, n), built for the first derivative."""
+        k, n = self.log_w.size, self.log_half_t.size
+        return np.ascontiguousarray(self.B.reshape(k, n, -1).transpose(2, 0, 1))
+
     def scores(self, phi):
-        """log w_q + B(u_q) phi: the log quadrature terms, one row per time,
-        with their ``_row_shift``, which log Lambda and its derivative share."""
-        a = self.B @ phi + self.log_w
-        return a, _row_shift(a)
+        """log w_q + B(u_q) phi: the log quadrature terms, one row per node,
+        with their ``_col_shift``, which log Lambda and its derivative share."""
+        a = (self.B @ phi).reshape(self.log_w.size, -1) + self.log_w[:, None]
+        return a, _col_shift(a)
 
     def log_cumhaz(self, scores):
-        return self.log_half_t + _row_logsumexp(*scores)
+        return self.log_half_t + _col_logsumexp(*scores)
 
     def dlog_cumhaz(self, scores):
-        """d log Lambda / d phi: quadrature-weight softmax of the basis."""
+        """d log Lambda / d phi, one row per time: quadrature-weight softmax
+        of the basis."""
         _, (_, e) = scores
-        return np.einsum("iq,iqr->ir", _row_softmax(e), self.B)
+        P = _col_softmax(e)
+        if self.BT.shape[0] == 1 or P.shape[1] == 1:
+            # NumPy's einsum adds in another order for one coefficient or one
+            # time; the time-major contraction keeps those bits
+            return np.einsum("iq,iqr->ir", np.ascontiguousarray(P.T),
+                             np.ascontiguousarray(self.BT.T))
+        # in C order, as the time-major contraction returns it, so products
+        # with it round as before
+        return np.einsum("qi,rqi->ri", P, self.BT).T.copy()
 
 
 def cumulative_hazard(t, spec, j: int):

@@ -407,6 +407,8 @@ def parse_experiment_config(path, seed_override=None) -> ExperimentConfig:
         trunc_fraction = float(kv.get("trunc_fraction", "0"))
         seed = int(kv.get("seed", "0")) if seed_override is None else int(seed_override)
         baseline = kv.get("baseline", "bernstein")
+        if "degrees" in kv and baseline == "weibull":
+            raise ValueError("key 'degrees' requires baseline = bernstein")
         degrees = tuple(int(x) for x in kv.get("degrees", "2,2,3").split(","))
         methods = tuple(m.strip() for m in
                         kv.get("methods", "bar,lasso,alasso,oracle").split(","))

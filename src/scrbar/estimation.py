@@ -157,7 +157,8 @@ class _Bernstein:
         self.degrees = cfg.degrees
         self.size = sum(m + 1 for m in cfg.degrees)
         self.bounds = [(-40.0, 20.0)] * self.size
-        self.cuts = np.cumsum([m + 1 for m in cfg.degrees])[:2]
+        ends = np.cumsum([m + 1 for m in cfg.degrees]).tolist()
+        self.blocks = [slice(a, b) for a, b in zip([0] + ends[:2], ends)]
         self.supports = bernstein_supports(data)
 
         def table(t, j):
@@ -170,6 +171,8 @@ class _Bernstein:
                                    *self.supports[j])
             for j in range(3)
         ]
+        # d/dphi of the event log-hazard sums, the same at every phi
+        self.ev_basis_sum = [b.sum(axis=0) for b in self.ev_basis]
 
     def start(self, log_rates):
         """Flat log-hazards: the basis sums to one, so each transition's
@@ -177,7 +180,7 @@ class _Bernstein:
         return np.concatenate([np.full(m + 1, lr) for m, lr in zip(self.degrees, log_rates)])
 
     def evaluate(self, base):
-        blocks = np.split(base, self.cuts)
+        blocks = [base[s] for s in self.blocks]
         # each table's quadrature scores feed both log Lambda and its derivative
         scores = [t.scores(phi) for t, phi in zip(self.tables, blocks)]
         log_t = [t.log_cumhaz(sc) for t, sc in zip(self.tables, scores)]
@@ -197,13 +200,13 @@ class _Bernstein:
                     # d log[L(t) - L(l)] = (d log L(t) - R d log L(l)) / (1 - R)
                     d = (d - R[:, None] * self.tables_entry[j].dlog_cumhaz(scores_entry[j])
                          ) / (1.0 - R[:, None])
-                g.append(self.ev_basis[j].sum(axis=0) - w[:, j] @ d)
+                g.append(self.ev_basis_sum[j] - w[:, j] @ d)
             return np.concatenate(g)
         return log_t, log_ratio, ev, grad
 
     def spec(self, base) -> BernsteinBaselineSet:
         # the set stores copies of the coefficient blocks
-        return BernsteinBaselineSet(self.degrees, np.split(base, self.cuts), self.supports)
+        return BernsteinBaselineSet(self.degrees, [base[s] for s in self.blocks], self.supports)
 
 
 class _Objective:

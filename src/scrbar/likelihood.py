@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
+from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtrs as _dtrtrs
 
-from .baselines import _logsumexp3, cumulative_hazard, log_cumulative_hazard
+from .baselines import _col_logsumexp, cumulative_hazard, log_cumulative_hazard
 from .domain import Dataset, ModelParameters, SubjectRecord
 
 __all__ = [
@@ -53,6 +53,11 @@ __all__ = [
     "frailty_integral_oracle",
     "pseudo_data",
 ]
+
+
+# diagonal jitter tried in turn by ``pseudo_data`` when -H is not positive
+# definite: none, then 1e-10 * 2^k for k = 0..20
+_JITTERS = (0.0,) + tuple(1e-10 * 2.0**k for k in range(21))
 
 
 class DegenerateRecordError(ValueError):
@@ -156,7 +161,7 @@ class _Point:
         self._w = self._H = None
         self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
         self.loge = np.array([lb[k] + self.lp[k] for k in range(3)])    # (3, n)
-        self.logS = _logsumexp3(self.loge)
+        self.logS = _col_logsumexp(self.loge)
         self.L1 = np.logaddexp(0.0, log_gamma + self.logS)     # log(1 + gamma S)
         self.gamma = np.exp(log_gamma)
         self.c = 1.0 / self.gamma + core.delta[0] + core.delta[1]
@@ -369,22 +374,38 @@ def pseudo_data(beta, u, H) -> PseudoData:
 
     Factorizes J = -H as X'X (X upper triangular) and solves X'W = J beta + u
     so that argmin_b 0.5 ||W - X b||^2 is the Newton step beta + J^{-1} u.
-    When -H is not positive definite, diagonal jitter 1e-10 * 2^k is escalated
-    up to k = 20 before giving up; the jitter actually used is reported on
+    When -H is not positive definite, the diagonal jitter of ``_JITTERS`` is
+    tried in turn before giving up; the jitter actually used is reported on
     the result.
+
+    LAPACK's dpotrf and dtrtrs are called directly, with the arguments that
+    ``scipy.linalg.cholesky`` and ``solve_triangular`` pass them, so X and W
+    are theirs bit for bit without their validation cost; their checks are
+    made here: a non-finite H, beta or gradient raises ValueError.  An empty
+    block (BAR's once every coefficient is 0) is answered without LAPACK,
+    which rejects it.
     """
     beta = np.asarray(beta, dtype=float)
     J = -np.asarray(H, dtype=float)
     p = len(beta)
-    jitters = [0.0] + [1e-10 * 2.0**k for k in range(21)]
-    for jit in jitters:
+    if J.shape != (p, p):
+        raise ValueError(f"expected a {p} x {p} Hessian, got shape {J.shape}")
+    if p == 0:
+        return PseudoData(X=np.empty((0, 0)), W=np.empty(0))
+    for jit in _JITTERS:
         A = J + jit * np.eye(p) if jit else J
-        try:
-            X = scipy.linalg.cholesky(A, lower=False)
-        except scipy.linalg.LinAlgError:
+        if not np.isfinite(A).all():
+            raise ValueError("non-finite Hessian")
+        X, info = _dpotrf(A, lower=0, clean=1)
+        if info > 0:                    # not positive definite
             continue
         rhs = A @ beta + np.asarray(u, dtype=float)
-        W = scipy.linalg.solve_triangular(X, rhs, trans="T", lower=False)
+        if not np.isfinite(rhs).all():
+            raise ValueError("non-finite coefficient or gradient")
+        W, info_trtrs = _dtrtrs(X, rhs, lower=0, trans=1)
+        if info or info_trtrs:
+            raise np.linalg.LinAlgError(
+                f"LAPACK failed: dpotrf info {info}, dtrtrs info {info_trtrs}")
         return PseudoData(X=X, W=W, jitter=jit)
     raise np.linalg.LinAlgError(
-        f"-H not positive definite even with jitter {jitters[-1]:.3g}")
+        f"-H not positive definite even with jitter {_JITTERS[-1]:.3g}")

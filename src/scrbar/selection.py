@@ -128,11 +128,15 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float) -> np.ndarray:
     out = np.zeros_like(beta_prev)
     if not active.any():
         return out
-    Xa = pseudo.X[:, active]
-    A = Xa.T @ Xa
+    # almost always the whole block is active: then X needs no column copy
+    if active.all():
+        X, b = pseudo.X, beta_prev
+    else:
+        X, b = pseudo.X[:, active], beta_prev[active]
+    A = X.T @ X
     if lam != 0.0:
-        A = A + lam * np.diag(1.0 / beta_prev[active] ** 2)
-    out[active] = np.linalg.solve(A, Xa.T @ pseudo.W)
+        A.flat[::len(b) + 1] += lam * (1.0 / b ** 2)
+    out[active] = np.linalg.solve(A, X.T @ pseudo.W)
     return out
 
 

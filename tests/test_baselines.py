@@ -16,10 +16,12 @@ from scrbar import (
 )
 from scrbar.baselines import (
     _BernsteinTable,
-    _logsumexp3,
-    _row_logsumexp,
-    _row_shift,
-    _row_softmax,
+    _col_logsumexp,
+    _col_shift,
+    _col_softmax,
+    _col_sum,
+    _gauss_legendre,
+    bernstein_basis_matrix,
 )
 from _helpers import adaptive_cumhaz
 
@@ -161,7 +163,8 @@ class TestCumulativeHazard:
         import scrbar
         assert not hasattr(scrbar, "QuadratureRule")
         table = _BernsteinTable(np.array([0.5, 2.0]), 3, (0.0, 4.0))
-        assert table.B.shape == (2, 32, 4)
+        # node-major: row q * n + i is node q of time i
+        assert table.B.shape == (32 * 2, 4) and table.BT.shape == (4, 32, 2)
         np.testing.assert_array_equal(table.log_w,
                                       np.log(np.polynomial.legendre.leggauss(32)[1]))
 
@@ -208,39 +211,121 @@ class TestHazardAgreement:
                                    rtol=1e-13, atol=0)
 
 
-# a few repeated values make ties for the row maximum, -inf makes rows with
-# zero-weight entries (and rows with nothing but them)
+# a few repeated values make ties for the column maximum, -inf makes columns
+# with zero-weight entries (and columns with nothing but them)
 _SCORE = st.one_of(st.sampled_from([-np.inf, -np.inf, 0.0, 1.5, -3.25]),
                    st.floats(-700.0, 700.0))
-# (n, 3) like the frailty closed form's terms, (n, 32) like a quadrature table
-_ROWS = st.sampled_from([3, 32]).flatmap(
-    lambda q: arrays(float, st.tuples(st.integers(1, 30), st.just(q)), elements=_SCORE))
+# (3, n) like the frailty closed form's terms, (32, n) like a quadrature table
+_COLS = st.sampled_from([3, 32]).flatmap(
+    lambda q: arrays(float, st.tuples(st.just(q), st.integers(1, 30)), elements=_SCORE))
 
 
 class TestRowKernels:
-    @settings(max_examples=150, deadline=None)
-    @given(a=_ROWS)
-    def test_logsumexp_matches_scipy_bitwise(self, a):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            want = scipy.special.logsumexp(a, axis=1)
-        assert np.array_equal(_row_logsumexp(a), want)
-        assert np.array_equal(_row_logsumexp(a, _row_shift(a)), want)
+    """The column kernels on a (k, n) array against scipy.special on its
+    transpose stored in C order, one row of k per column, bit for bit (on
+    the strided view ``a.T`` NumPy would add in another order)."""
 
     @settings(max_examples=150, deadline=None)
-    @given(a=arrays(float, st.tuples(st.integers(0, 30), st.just(3)), elements=_SCORE))
+    @given(a=_COLS)
+    def test_logsumexp_matches_scipy_bitwise(self, a):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = scipy.special.logsumexp(np.ascontiguousarray(a.T), axis=1)
+        assert np.array_equal(_col_logsumexp(a), want)
+        assert np.array_equal(_col_logsumexp(a, _col_shift(a)), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=arrays(float, st.tuples(st.just(3), st.integers(0, 30)), elements=_SCORE))
     def test_three_column_logsumexp_matches_row_kernel_bitwise(self, a):
-        # rows with a three-way tie, a tie at -inf and nothing but -inf always
-        a = np.vstack([a, [[1.5, 1.5, 1.5], [-np.inf, -np.inf, 0.0],
-                           [-np.inf, -np.inf, -np.inf]]])
-        want = _row_logsumexp(a)
-        got = _logsumexp3(np.ascontiguousarray(a.T))
+        # columns with a three-way tie, a tie at -inf and nothing but -inf always
+        a = np.hstack([a, [[1.5, -np.inf, -np.inf], [1.5, -np.inf, -np.inf],
+                           [1.5, 0.0, -np.inf]]])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            want = scipy.special.logsumexp(np.ascontiguousarray(a.T), axis=1)
+        got = _col_logsumexp(a)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
 
     @settings(max_examples=150, deadline=None)
-    @given(a=_ROWS)
+    @given(a=_COLS)
     def test_softmax_matches_scipy_bitwise(self, a):
         with np.errstate(invalid="ignore"):
-            want = scipy.special.softmax(a, axis=1)
-        # rows of nothing but -inf are nan in both
-        assert np.array_equal(_row_softmax(_row_shift(a)[1]), want, equal_nan=True)
+            want = scipy.special.softmax(np.ascontiguousarray(a.T), axis=1).T
+        # columns of nothing but -inf are nan in both
+        assert np.array_equal(_col_softmax(_col_shift(a)[1]), want, equal_nan=True)
+
+
+class TestNumpyOrder:
+    """The library behaviours the node-major table's bit-for-bit answers rest
+    on.  A NumPy or BLAS upgrade that changes one fails here by name, instead
+    of moving fitted answers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(k=st.integers(1, 128), n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_pairwise_column_sum_matches_row_sum_bitwise(self, k, n, seed):
+        # NumPy sums a contiguous row of k terms pairwise; _col_sum repeats
+        # its additions over whole rows of the transpose
+        rng = np.random.default_rng(seed)
+        y = rng.normal(size=(n, k)) * np.exp(rng.uniform(-30.0, 30.0, (n, k)))
+        y[rng.random((n, k)) < 0.2] = 0.0
+        assert np.array_equal(_col_sum(np.ascontiguousarray(y.T)), y.sum(axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(0, 6), n=st.integers(1, 400), seed=st.integers(0, 2**32 - 1))
+    def test_row_permuted_gemv_matches_time_major_bitwise(self, m, n, seed):
+        # each row of B @ phi is one dot product, whatever the row order
+        rng = np.random.default_rng(seed)
+        B = rng.random((n, 32, m + 1))
+        phi = rng.normal(0.0, 3.0, m + 1)
+        node_major = np.ascontiguousarray(B.transpose(1, 0, 2)).reshape(32 * n, m + 1)
+        assert np.array_equal((node_major @ phi).reshape(32, n).T, B @ phi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(m=st.integers(1, 6), n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1))
+    def test_node_major_einsum_matches_time_major_bitwise(self, m, n, seed):
+        # both contractions add over the 32 nodes in order (NumPy takes
+        # another path for m = 0 or n = 1, which the table avoids)
+        rng = np.random.default_rng(seed)
+        B, P = rng.random((n, 32, m + 1)), rng.random((n, 32))
+        got = np.einsum("qi,rqi->ri", np.ascontiguousarray(P.T),
+                        np.ascontiguousarray(B.transpose(2, 1, 0)))
+        assert np.array_equal(got.T, np.einsum("iq,iqr->ir", P, B))
+
+
+class _TimeMajorTable:
+    """The time-major table the node-major one replaced: B as (n, 32, m+1),
+    one row of 32 quadrature terms per time, reduced by scipy.special (whose
+    arithmetic its row kernels followed bit for bit)."""
+
+    def __init__(self, t, m, support):
+        c, u = support
+        x, self.log_w = _gauss_legendre()
+        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
+        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(len(t), x.size, m + 1)
+        with np.errstate(divide="ignore"):
+            self.log_half_t = np.log(0.5 * t)
+
+    def log_cumhaz(self, phi):
+        return self.log_half_t + scipy.special.logsumexp(self.B @ phi + self.log_w, axis=1)
+
+    def dlog_cumhaz(self, phi):
+        P = scipy.special.softmax(self.B @ phi + self.log_w, axis=1)
+        return np.einsum("iq,iqr->ir", P, self.B)
+
+
+class TestNodeMajorTable:
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.integers(0, 6), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_time_major_table_bitwise(self, m, n, seed):
+        # every degree and every n, degree 0 and n = 1 included: there the
+        # table falls back to the time-major contraction for the derivative
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(0.5, 20.0)
+        t = u * rng.random(n)
+        t[rng.random(n) < 0.1] = 0.0            # zero times: log Lambda = -inf
+        phi = rng.normal(0.0, 3.0, m + 1)
+        table, ref = _BernsteinTable(t, m, (0.0, u)), _TimeMajorTable(t, m, (0.0, u))
+        scores = table.scores(phi)
+        assert np.array_equal(table.log_cumhaz(scores), ref.log_cumhaz(phi))
+        d, want = table.dlog_cumhaz(scores), ref.dlog_cumhaz(phi)
+        # the same bits in the same C layout, so products with it round alike
+        assert d.flags.c_contiguous and np.array_equal(d, want)

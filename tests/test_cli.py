@@ -497,6 +497,7 @@ class TestStudyInputs:
         ("trunc_fraction = nan", "trunc_fraction must be finite and non-negative"),
         ("trunc_fraction = inf", "trunc_fraction must be finite and non-negative"),
         ("baseline = bernsteen", "unknown baseline mode 'bernsteen'"),
+        ("baseline = weibull", "key 'degrees' requires baseline = bernstein"),
         ("truncation = gap", "key 'truncation'"),
         ("rho = 1.5", "rho must lie in [0, 1)"),
         ("censoring = 0", "censoring must lie in (0, 1)"),

@@ -254,6 +254,52 @@ class TestPseudoData:
         with pytest.raises(np.linalg.LinAlgError):
             pseudo_data(np.zeros(1), np.zeros(1), H)
 
+    def test_matches_scipy_wrappers_bitwise(self):
+        # pseudo_data calls LAPACK directly; the reference is the same
+        # factorization through scipy.linalg's validating wrappers
+        import scipy.linalg
+
+        def reference(beta, u, H):
+            J, p = -H, len(beta)
+            for jit in (0.0,) + tuple(1e-10 * 2.0**k for k in range(21)):
+                A = J + jit * np.eye(p) if jit else J
+                try:
+                    X = scipy.linalg.cholesky(A, lower=False)
+                except scipy.linalg.LinAlgError:
+                    continue
+                W = scipy.linalg.solve_triangular(X, A @ beta + u, trans="T", lower=False)
+                return X, W, jit
+            raise AssertionError("no jitter made -H positive definite")
+
+        rng = np.random.default_rng(16)
+        jittered = 0
+        for trial in range(300):
+            p = int(rng.integers(1, 46))
+            # every third matrix is rank deficient, so it needs jitter
+            G = rng.normal(size=(p + 3 if trial % 3 else p // 2, p))
+            H = -(G.T @ G)
+            beta, u = rng.normal(size=p), rng.normal(size=p)
+            pd = pseudo_data(beta, u, H)
+            X, W, jit = reference(beta, u, H)
+            assert np.array_equal(pd.X, X) and pd.X.flags.f_contiguous == X.flags.f_contiguous
+            assert np.array_equal(pd.W, W) and pd.jitter == jit
+            jittered += jit > 0.0
+        assert jittered >= 50
+
+    @pytest.mark.parametrize("bad", ["H", "beta", "u"])
+    def test_non_finite_input_raises(self, bad):
+        H, beta, u = -np.eye(3), np.ones(3), np.ones(3)
+        {"H": H, "beta": beta, "u": u}[bad][1] = np.nan if bad != "u" else np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            pseudo_data(beta, u, H)
+
+    def test_empty_block(self, capfd):
+        # BAR's block once every coefficient is 0: no LAPACK call, which
+        # would reject it and print to stderr
+        pd = pseudo_data(np.empty(0), np.empty(0), np.empty((0, 0)))
+        assert pd.X.shape == (0, 0) and pd.W.shape == (0,) and pd.jitter == 0.0
+        assert capfd.readouterr() == ("", "")
+
 
 class TestTruncationConvention:
     def test_calendar_switch_changes_risk(self):

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scrbar import (
@@ -69,6 +69,27 @@ class TestBarStep:
         beta_prev = np.array([1.0, 0.0, -2.0, 1e-9])
         step = bar_step(beta_prev, pd, 0.1)
         assert step[1] == 0.0 and step[3] == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_matches_the_copying_ridge_bitwise(self, lam):
+        # the step reads X in place when the whole block is active and adds
+        # the penalty to the diagonal in place; the reference copies the
+        # active columns and adds a diagonal matrix
+        rng = np.random.default_rng(4)
+        for _ in range(60):
+            p = int(rng.integers(1, 12))
+            G = rng.normal(size=(p + 5, p))
+            pd = pseudo_data(rng.normal(size=p), rng.normal(size=p), -(G.T @ G))
+            beta_prev = np.where(rng.random(p) < 0.2, 0.0, rng.normal(size=p))
+            active = np.abs(beta_prev) >= PenaltyConfig.zero_threshold
+            want = np.zeros(p)
+            if active.any():
+                Xa = pd.X[:, active]
+                A = Xa.T @ Xa
+                if lam != 0.0:
+                    A = A + lam * np.diag(1.0 / beta_prev[active] ** 2)
+                want[active] = np.linalg.solve(A, Xa.T @ pd.W)
+            assert np.array_equal(bar_step(beta_prev, pd, lam), want)
 
     def test_freeze_monotone_over_random_runs(self):
         rng = np.random.default_rng(3)
@@ -736,6 +757,10 @@ class TestBarFixedPointProperty:
     def test_lambda_zero_fixed_point_is_newton_step(self, seed, n, d):
         data = small_dataset(n=n, d=d, seed=seed)
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
+        # the property holds where a finite MLE exists: the fit converged
+        # with no coefficient on its +-30 bound (see the pinned example
+        # below for a design without one)
+        assume(nu.converged and np.all(np.abs(nu.params.beta.stacked) < 30.0))
         est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
         assert est.converged and est.support.size == data.p
         ev = BetaLikelihood(data, nu.params.nuisance)
@@ -743,3 +768,14 @@ class TestBarFixedPointProperty:
                          ev.hessian(est.beta_hat))
         newton = np.linalg.solve(pd.X.T @ pd.X, pd.X.T @ pd.W)
         np.testing.assert_allclose(est.beta_hat, newton, rtol=0, atol=1e-8)
+
+    def test_no_finite_mle_reports_unconverged(self):
+        # one transition-3 event for four covariates: the likelihood has no
+        # finite maximizer, so the fit stops at its coefficient bound and the
+        # lambda = 0 solve diverges; both must say so rather than pass
+        data = small_dataset(n=62, d=4, seed=2548)
+        assert data.arrays()["delta1"] @ data.arrays()["delta2"] == 1.0
+        nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
+        assert not nu.converged
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
+        assert not est.converged
