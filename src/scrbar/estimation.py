@@ -265,7 +265,8 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
     Positivity of the frailty variance and Weibull parameters is handled by
     log-reparameterization, so the search is unconstrained up to wide
     overflow guards.  A non-converged fit is returned with its flag down
-    rather than raised.
+    rather than raised; a fit with a regression coefficient on its +-30
+    bound is not converged, whatever its projected gradient.
     """
     obj = _Objective(data, cfg)
     if len(data) <= obj.n_params:
@@ -281,13 +282,15 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
     _, grad = obj.value_and_grad(res.x)
     # projected gradient: components pushing against an active bound don't count
     lo, hi = np.array(bounds).T
-    pg = np.where(res.x <= lo + 1e-12, np.minimum(grad, 0.0),
-                  np.where(res.x >= hi - 1e-12, np.maximum(grad, 0.0), grad))
+    at_lo, at_hi = res.x <= lo + 1e-12, res.x >= hi - 1e-12
+    pg = np.where(at_lo, np.minimum(grad, 0.0), np.where(at_hi, np.maximum(grad, 0.0), grad))
     grad_norm = float(np.max(np.abs(pg)))
+    # a coefficient on its +-30 bound means no finite maximizer was reached
+    on_box = bool((at_lo | at_hi)[:obj.p].any())
     return FitResult(
         params=obj.build_params(res.x),
         loglik=-float(res.fun),
-        converged=bool(grad_norm < _GTOL),
+        converged=grad_norm < _GTOL and not on_box,
         n_iter=int(res.nit),
         grad_norm=grad_norm)
 

@@ -32,10 +32,10 @@ no subject is truncated (l = 0 throughout) the entry terms are skipped.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtrs as _dtrtrs
 
 from .baselines import _col_logsumexp, cumulative_hazard, log_cumulative_hazard
@@ -78,11 +78,25 @@ class RiskTerms:
 class PseudoData:
     """Cholesky pseudo-design X (upper triangular, X'X = -H) and pseudo
     response W with X'W = -H b + u, so the least-squares surrogate
-    0.5 ||W - X b||^2 has the same gradient and curvature as -loglik at b."""
+    0.5 ||W - X b||^2 has the same gradient and curvature as -loglik at b.
+
+    G = X'X and c = X'W are the normal equations of that surrogate, the
+    system the penalized steps solve.  ``pseudo_data`` forms them before it
+    factors, G = -H plus any jitter and c = G b + u, and hands them over;
+    when they are not given they are multiplied back from X and W.
+    """
 
     X: np.ndarray
     W: np.ndarray
     jitter: float = 0.0
+    G: np.ndarray = None
+    c: np.ndarray = None
+
+    def __post_init__(self):
+        if self.G is None:
+            object.__setattr__(self, "G", self.X.T @ self.X)
+        if self.c is None:
+            object.__setattr__(self, "c", self.X.T @ self.W)
 
 
 def _check_beta(beta, p):
@@ -144,6 +158,29 @@ class _Core:
             ratio.append(R)
         return lb, ratio
 
+    @functools.cached_property
+    def gram(self):
+        """The per-record covariate products of ``_Point.hessian``'s Gram
+        route, or None when the transitions' covariate matrices differ.
+
+        P holds the upper triangle of z_i z_i' for each record, an
+        (n, d(d+1)/2) array; ``index[a, b]`` is where entry (a, b) of the
+        beta Hessian sits in the flattened (6, d(d+1)/2) product D @ P, whose
+        rows are the transition pairs (1,1), (2,2), (3,3), (1,2), (1,3),
+        (2,3).  Built on first use, so a fit never builds it.
+        """
+        Z1, Z2, Z3 = self.Z
+        if not (np.array_equal(Z1, Z2) and np.array_equal(Z1, Z3)):
+            return None
+        d = Z1.shape[1]
+        iu, ju = np.triu_indices(d)
+        P = Z1[:, iu] * Z1[:, ju]
+        tri = np.empty((d, d), dtype=np.intp)
+        tri[iu, ju] = tri[ju, iu] = np.arange(iu.size)
+        pair = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
+        k, loc = self.transition, np.tile(np.arange(d), 3)
+        return P, pair[k[:, None], k] * iu.size + tri[loc[:, None], loc]
+
     def grad_beta(self, w) -> np.ndarray:
         return np.concatenate([
             self.Z[k].T @ (self.event_weight[k] - w[:, k]) for k in range(3)
@@ -154,11 +191,11 @@ class _Point:
     """The closed form at stacked coefficients ``beta`` and log frailty
     variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
     weights, beta Hessian and log-gamma derivative are computed on request,
-    the shrink weights and the full Hessian once."""
+    the shrink weights, the Gram product and the full Hessian once."""
 
     def __init__(self, core: _Core, beta, log_gamma, lb):
         self.core, self.log_gamma = core, log_gamma
-        self._w = self._H = None
+        self._w = self._H = self._DP = None
         self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
         self.loge = np.array([lb[k] + self.lp[k] for k in range(3)])    # (3, n)
         self.logS = _col_logsumexp(self.loge)
@@ -189,20 +226,47 @@ class _Point:
         coordinates ``idx``; the full matrix (idx None) is built once.
 
         With w the shrink weights, the (k, l) transition block is
-        Z_k' diag(w_k w_l / c - [k = l] w_k) Z_l, so H = V'V - M o U'U with
-        V = Z (w / sqrt c) and U = Z sqrt(w) column by column on the
-        concatenated design and M the same-transition mask.  Both products
-        are A'A, so H is exactly symmetric.
+        Z_k' diag(D_kl) Z_l with D_kk = w_k^2 / c - w_k and
+        D_kl = w_k w_l / c.  Two routes build it, both exactly symmetric:
+
+        - Gram: when the three transitions share one covariate matrix Z
+          (every simulated dataset, the shared ``z_*`` CSV schema), every
+          block is Z' diag(D) Z, so H is one (6, n) @ (n, d(d+1)/2) product
+          of the six D rows with ``_Core.gram``'s per-record products,
+          gathered through its index map; a pair (a, b), (b, a) reads one
+          entry.  The product is kept, so every block at this beta is a
+          gather.  The table costs n d(d+1)/2 doubles, built once per core.
+        - V/U: otherwise (per-transition covariates), H = V'V - M o U'U
+          with V = Z (w / sqrt c) and U = Z sqrt(w) column by column on
+          the concatenated design and M the same-transition mask; both
+          products are A'A.
         """
         if idx is None and self._H is not None:
             return self._H
-        core, w = self.core, self.shrink_weights()
-        Z, k = core.Zcat, core.transition
-        if idx is not None:
-            Z, k = Z[:, idx], k[idx]
-        V = Z * (w / np.sqrt(self.c)[:, None])[:, k]
-        U = Z * np.sqrt(w)[:, k]
-        H = V.T @ V - np.where(k[:, None] == k, U.T @ U, 0.0)
+        core = self.core
+        gram = core.gram
+        if gram is not None:
+            if self._DP is None:
+                w = self.shrink_weights().T          # (3, n)
+                q = w / self.c
+                D = np.empty((6, core.n))
+                np.multiply(w, q - 1.0, out=D[:3])
+                np.multiply(q[0], w[1], out=D[3])
+                np.multiply(q[0], w[2], out=D[4])
+                np.multiply(q[1], w[2], out=D[5])
+                self._DP = (D @ gram[0]).ravel()
+            index = gram[1]
+            if idx is not None and len(idx) < core.p:
+                index = index[idx][:, idx]
+            H = self._DP.take(index)
+        else:
+            w = self.shrink_weights()
+            Z, k = core.Zcat, core.transition
+            if idx is not None:
+                Z, k = Z[:, idx], k[idx]
+            V = Z * (w / np.sqrt(self.c)[:, None])[:, k]
+            U = Z * np.sqrt(w)[:, k]
+            H = V.T @ V - np.where(k[:, None] == k, U.T @ U, 0.0)
         if idx is None:
             self._H = H
         return H
@@ -339,9 +403,10 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
         log_a += float(spec.log_hazard(np.array([soj]), 3)[0])
         log_a += float(b.beta3 @ rec.z3)
 
-    # imported on first use: this oracle is its only user, and importing it
+    # imported on first use: this oracle is their only user; scipy.stats
     # with the package nearly doubled the time and added ~19 MB to the
-    # memory of `import scrbar.cli`
+    # memory of `import scrbar.cli`, scipy.integrate added about 46 ms
+    import scipy.integrate
     import scipy.stats
     dist = scipy.stats.gamma(a=1.0 / gamma, scale=gamma)
 
@@ -376,7 +441,9 @@ def pseudo_data(beta, u, H) -> PseudoData:
     so that argmin_b 0.5 ||W - X b||^2 is the Newton step beta + J^{-1} u.
     When -H is not positive definite, the diagonal jitter of ``_JITTERS`` is
     tried in turn before giving up; the jitter actually used is reported on
-    the result.
+    the result.  The result also carries the normal equations it formed,
+    G = J + jitter I and c = G beta + u, which the penalized steps solve;
+    the factorization is their positive-definiteness test.
 
     LAPACK's dpotrf and dtrtrs are called directly, with the arguments that
     ``scipy.linalg.cholesky`` and ``solve_triangular`` pass them, so X and W
@@ -406,6 +473,6 @@ def pseudo_data(beta, u, H) -> PseudoData:
         if info or info_trtrs:
             raise np.linalg.LinAlgError(
                 f"LAPACK failed: dpotrf info {info}, dtrtrs info {info_trtrs}")
-        return PseudoData(X=X, W=W, jitter=jit)
+        return PseudoData(X=X, W=W, jitter=jit, G=A, c=rhs)
     raise np.linalg.LinAlgError(
         f"-H not positive definite even with jitter {_JITTERS[-1]:.3g}")

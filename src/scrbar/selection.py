@@ -9,10 +9,13 @@ All three penalties run the same loop, ``_solve``: at the current iterate
 the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
 by the least-squares surrogate 0.5 ||W - X b||^2 built from Cholesky
 pseudo-data, one penalized step is taken on it, and the surrogate is
-rebuilt at the new iterate until the iterates stabilize.  Only the step
-differs: BAR solves its reweighted ridge in closed form (``bar_step``),
-LASSO and adaptive LASSO run cyclic coordinate descent with
-soft-thresholding on (G, c) = (X'X, X'W) with unit or adaptive weights.
+rebuilt at the new iterate until the iterates stabilize.  The steps solve
+the surrogate's normal equations (G, c) = (X'X, X'W), which ``pseudo_data``
+forms before it factors (G = -H plus any jitter, c = G b + u) and hands
+over, so no step multiplies the factor back.  Only the step differs: BAR
+solves its reweighted ridge in closed form (``bar_step``), LASSO and
+adaptive LASSO run cyclic coordinate descent with soft-thresholding on
+(G, c) with unit or adaptive weights.
 
 Each L1 step finishes exactly (``_l1_step``; the active-set idea of
 Osborne, Presnell & Turlach 2000): once a sweep leaves the signed support s
@@ -39,6 +42,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from scipy.linalg.lapack import dposv as _dposv
 
 from .domain import Dataset
 from .likelihood import BetaLikelihood, PseudoData, pseudo_data
@@ -120,23 +124,30 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float) -> np.ndarray:
     """One broken-adaptive-ridge update on the surrogate.
 
     Coordinates of ``beta_prev`` below the zero threshold are frozen at 0
-    and their columns dropped; the rest solve the reduced ridge system
-    (X'X + lam * diag(1/beta_prev^2)) b = X'W.
+    and dropped; the rest, a, solve the reduced ridge system
+    (G_aa + lam * diag(1/beta_prev_a^2)) b = c_a on the surrogate's normal
+    equations, by Cholesky (LAPACK dposv), or by LU where that system is not
+    numerically positive definite.
     """
     beta_prev = np.asarray(beta_prev, dtype=float)
     active = np.abs(beta_prev) >= PenaltyConfig.zero_threshold
-    out = np.zeros_like(beta_prev)
     if not active.any():
-        return out
-    # almost always the whole block is active: then X needs no column copy
-    if active.all():
-        X, b = pseudo.X, beta_prev
+        return np.zeros_like(beta_prev)
+    # almost always the whole block is active: then G needs no gather
+    full = active.all()
+    if full:
+        A, c, b = pseudo.G.copy(), pseudo.c, beta_prev
     else:
-        X, b = pseudo.X[:, active], beta_prev[active]
-    A = X.T @ X
+        A, c, b = pseudo.G[np.ix_(active, active)], pseudo.c[active], beta_prev[active]
     if lam != 0.0:
-        A.flat[::len(b) + 1] += lam * (1.0 / b ** 2)
-    out[active] = np.linalg.solve(A, X.T @ pseudo.W)
+        A.ravel()[::len(b) + 1] += lam * (1.0 / b ** 2)
+    _, x, info = _dposv(A, c)
+    if info:                            # not numerically positive definite
+        x = np.linalg.solve(A, c)
+    if full:
+        return x
+    out = np.zeros_like(beta_prev)
+    out[active] = x
     return out
 
 
@@ -248,9 +259,9 @@ def alasso_weights(beta_tilde) -> np.ndarray:
 def _solve(ev, beta_init, lam, cfg, weights=None):
     """The surrogate loop: BAR ridge steps when ``weights`` is None, starting
     with the coordinates below the zero threshold frozen; weighted L1
-    coordinate descent on (X'X, X'W) from ``beta_init`` as given, finished
-    exactly by ``_l1_step``, otherwise.  It converges when the iterates
-    stabilize, unless the last L1 step stopped at its sweep cap.
+    coordinate descent on the surrogate's (G, c) from ``beta_init`` as
+    given, finished exactly by ``_l1_step``, otherwise.  It converges when
+    the iterates stabilize, unless the last L1 step stopped at its sweep cap.
 
     BAR refreshes the surrogate on the nonzero coordinates nz only: beta is 0
     off nz, so (J beta + u)[nz] = J[nz, nz] beta[nz] + u[nz], and the step
@@ -269,13 +280,13 @@ def _solve(ev, beta_init, lam, cfg, weights=None):
         u = ev.gradient(beta)
         if weights is None:
             nz = np.flatnonzero(beta)
-            pseudo = pseudo_data(beta[nz], u[nz], ev.hessian(beta, nz))
+            b = beta[nz]
+            pseudo = pseudo_data(b, u[nz], ev.hessian(beta, nz))
             beta_new = np.zeros_like(beta)
-            beta_new[nz] = bar_step(beta[nz], pseudo, lam)
+            beta_new[nz] = bar_step(b, pseudo, lam)
         else:
             pseudo = pseudo_data(beta, u, ev.hessian(beta))
-            beta_new, finished = _l1_step(pseudo.X.T @ pseudo.X, pseudo.X.T @ pseudo.W,
-                                          beta, lam, weights)
+            beta_new, finished = _l1_step(pseudo.G, pseudo.c, beta, lam, weights)
         jitter = max(jitter, pseudo.jitter)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new

@@ -560,6 +560,14 @@ class TestImportCost:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_integrate_out(self):
+        # scipy.integrate is the frailty oracle's alone too
+        code = "import sys, scrbar.cli; print('scipy.integrate' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):

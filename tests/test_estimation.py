@@ -102,6 +102,17 @@ class TestFitUnpenalized:
         assert fr.converged
         assert fr.grad_norm < _GTOL
 
+    def test_coefficient_on_its_bound_is_not_converged(self):
+        # two transition-3 events for four covariates: no finite maximizer,
+        # so the fit stops with coefficients on the +-30 box while its
+        # projected gradient, which drops components pushing against a
+        # bound, is small
+        data = small_dataset(n=71, d=4, seed=77)
+        fr = fit_unpenalized(data, FitConfig(baseline="weibull"))
+        assert np.max(np.abs(fr.params.beta.stacked)) >= 30.0 - 1e-12
+        assert fr.grad_norm < _GTOL
+        assert not fr.converged
+
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     @CALENDAR
     def test_loglik_field_consistent(self, baseline, truncation):

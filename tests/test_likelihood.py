@@ -17,7 +17,8 @@ from scrbar import (
     pseudo_data,
     risk_terms,
 )
-from scrbar.likelihood import BetaLikelihood, DegenerateRecordError
+from scrbar.cli import read_dataset_csv, write_dataset_csv
+from scrbar.likelihood import BetaLikelihood, DegenerateRecordError, _Core
 from _helpers import CALENDAR, random_params, small_dataset, unit_weibull
 
 
@@ -412,8 +413,9 @@ class TestPointMemo:
 
 def _reference_hessian(ev, beta):
     """The beta Hessian as the per-transition-block loop built it, with the
-    lower triangle of each diagonal block mirrored: the reference the fused
-    V'V - M o U'U must reproduce."""
+    lower triangle of each diagonal block mirrored: the reference that the
+    fused routes (Gram on these shared covariates, V'V - M o U'U otherwise)
+    must reproduce."""
     pt = ev._at(beta)
     core, w = pt.core, pt.shrink_weights()
     offs, Z = core.offs, core.Z
@@ -467,6 +469,80 @@ class TestHessianBlocks:
         # a block is never the memoized full matrix, and never changes it
         block += 1.0
         assert np.array_equal(ev.hessian(b), full)
+
+
+def _vu_route(data, nuisance):
+    """A BetaLikelihood that builds its Hessian by the V/U route even on
+    shared covariates: its core reports no Gram table."""
+    ev = BetaLikelihood(data, nuisance)
+    ev.core.gram = None
+    return ev
+
+
+class TestHessianRoutes:
+    """On shared covariates the Hessian is one Gram product gathered through
+    an index map; on per-transition covariates it is V'V - M o U'U.  Both
+    give the same matrix and both are exactly symmetric."""
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    @pytest.mark.parametrize("trunc_upper", [0.0, 0.4])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_gram_matches_vu(self, baseline, trunc_upper, seed, data):
+        ds = small_dataset(n=60, d=4, seed=seed, trunc_upper=trunc_upper)
+        rng = np.random.default_rng(seed)
+        params = random_params(ds, rng, baseline=baseline)
+        b = params.beta.stacked
+        gram = BetaLikelihood(ds, params.nuisance)
+        vu = _vu_route(ds, params.nuisance)
+        assert gram.core.gram is not None
+        full = vu.hessian(b)
+        scale = np.max(np.abs(full))
+        blocks = [None] + [np.sort(rng.choice(ds.p, size, replace=False))
+                           for size in data.draw(st.lists(st.integers(1, ds.p),
+                                                          min_size=1, max_size=4))]
+        for idx in blocks:
+            got, want = gram.hessian(b, idx), vu.hessian(b, idx)
+            assert got.shape == want.shape
+            assert np.array_equal(got, got.T) and np.array_equal(want, want.T)
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_per_transition_hessian_matches_gradient_differences(self):
+        data = small_dataset(n=40, d=4, seed=10).restrict_covariates(
+            [0, 2], [1, 3], [0, 1, 3])
+        rng = np.random.default_rng(17)
+        for _ in range(10):
+            params = random_params(data, rng)
+            ev = BetaLikelihood(data, params.nuisance)
+            assert ev.core.gram is None
+            b0 = params.beta.stacked
+            H = ev.hessian(b0)
+            block = ev.hessian(b0, np.sort(rng.choice(data.p, 4, replace=False)))
+            assert np.array_equal(H, H.T) and np.array_equal(block, block.T)
+            h = 1e-6
+            fd = np.empty_like(H)
+            for j in range(b0.size):
+                e = np.zeros_like(b0)
+                e[j] = h
+                fd[:, j] = (ev.gradient(b0 + e) - ev.gradient(b0 - e)) / (2 * h)
+            denom = np.maximum(1.0, np.abs(fd))
+            assert np.max(np.abs(H - fd) / denom) < 1e-4
+
+    def test_route_follows_the_covariates(self, tmp_path):
+        # a refactor that stops detecting shared covariates fails here
+        # instead of silently taking the slower route
+        data = small_dataset(n=30, d=3, seed=4)
+        assert _Core(data).gram is not None
+        path = tmp_path / "shared.csv"
+        write_dataset_csv(path, data)
+        assert "z_1" in path.read_text().splitlines()[0].split(",")
+        assert _Core(read_dataset_csv(path)[0]).gram is not None
+        kept = data.restrict_covariates([0, 1], [0, 2], [0, 1, 2])
+        assert _Core(kept).gram is None
+        assert _Core(data.restrict_covariates([0], [1], [2])).gram is None
+        write_dataset_csv(path, kept)
+        assert "z1_1" in path.read_text().splitlines()[0].split(",")
+        assert _Core(read_dataset_csv(path)[0]).gram is None
 
 
 def _max_rel(got, want):
