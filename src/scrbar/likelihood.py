@@ -82,21 +82,14 @@ class PseudoData:
 
     G = X'X and c = X'W are the normal equations of that surrogate, the
     system the penalized steps solve.  ``pseudo_data`` forms them before it
-    factors, G = -H plus any jitter and c = G b + u, and hands them over;
-    when they are not given they are multiplied back from X and W.
+    factors, G = -H plus any jitter and c = G b + u, and hands them over.
     """
 
     X: np.ndarray
     W: np.ndarray
+    G: np.ndarray
+    c: np.ndarray
     jitter: float = 0.0
-    G: np.ndarray = None
-    c: np.ndarray = None
-
-    def __post_init__(self):
-        if self.G is None:
-            object.__setattr__(self, "G", self.X.T @ self.X)
-        if self.c is None:
-            object.__setattr__(self, "c", self.X.T @ self.W)
 
 
 def _check_beta(beta, p):
@@ -458,7 +451,7 @@ def pseudo_data(beta, u, H) -> PseudoData:
     if J.shape != (p, p):
         raise ValueError(f"expected a {p} x {p} Hessian, got shape {J.shape}")
     if p == 0:
-        return PseudoData(X=np.empty((0, 0)), W=np.empty(0))
+        return PseudoData(X=np.empty((0, 0)), W=np.empty(0), G=np.empty((0, 0)), c=np.empty(0))
     for jit in _JITTERS:
         A = J + jit * np.eye(p) if jit else J
         if not np.isfinite(A).all():

@@ -2,7 +2,7 @@
 
 Selection takes an unpenalized fit and a ``PenaltyConfig``, nothing else:
 the likelihood is evaluated at the fit's nuisance, and the penalty kind
-fixes the weights (``_problem``).  ``penalized_solve`` solves at one
+fixes the penalty object (``_problem``).  ``penalized_solve`` solves at one
 lambda; ``gcv_select`` walks the grid.
 
 All three penalties run the same loop, ``_solve``: at the current iterate
@@ -12,10 +12,15 @@ pseudo-data, one penalized step is taken on it, and the surrogate is
 rebuilt at the new iterate until the iterates stabilize.  The steps solve
 the surrogate's normal equations (G, c) = (X'X, X'W), which ``pseudo_data``
 forms before it factors (G = -H plus any jitter, c = G b + u) and hands
-over, so no step multiplies the factor back.  Only the step differs: BAR
-solves its reweighted ridge in closed form (``bar_step``), LASSO and
-adaptive LASSO run cyclic coordinate descent with soft-thresholding on
-(G, c) with unit or adaptive weights.
+over, so no step multiplies the factor back.
+
+The kinds differ only in their penalty object, which ``_problem`` builds
+once from ``cfg.kind``: ``_Bar`` or ``_L1``.  It gives the loop's start, the
+surrogate refresh and step, the penalty value in the objective and the
+weights w of the GCV curvature diagonal w/|b|.  BAR solves its reweighted
+ridge in closed form (``bar_step``); LASSO and adaptive LASSO run cyclic
+coordinate descent with soft-thresholding on (G, c) with unit or adaptive
+weights.
 
 Each L1 step finishes exactly (``_l1_step``; the active-set idea of
 Osborne, Presnell & Turlach 2000): once a sweep leaves the signed support s
@@ -82,7 +87,7 @@ class PenaltyConfig:
     zero_threshold: ClassVar[float] = 1e-6   # |b| below this is exactly 0
 
     def __post_init__(self):
-        if self.kind not in ("bar", "lasso", "alasso"):
+        if self.kind not in _PENALTIES:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -256,62 +261,89 @@ def alasso_weights(beta_tilde) -> np.ndarray:
         return np.minimum(1.0 / np.abs(np.asarray(beta_tilde, dtype=float)), _WEIGHT_CAP)
 
 
-def _solve(ev, beta_init, lam, cfg, weights=None):
-    """The surrogate loop: BAR ridge steps when ``weights`` is None, starting
-    with the coordinates below the zero threshold frozen; weighted L1
-    coordinate descent on the surrogate's (G, c) from ``beta_init`` as
-    given, finished exactly by ``_l1_step``, otherwise.  It converges when
-    the iterates stabilize, unless the last L1 step stopped at its sweep cap.
+class _Bar:
+    """Broken adaptive ridge.  The start freezes the coordinates below the
+    zero threshold, and each refresh is built on the nonzero coordinates nz
+    only: beta is 0 off nz, so (J beta + u)[nz] = J[nz, nz] beta[nz] + u[nz],
+    and the step never reads the rest.  At the fixed point the adaptive
+    ridge penalty equals lam times the support size.  ``weights`` is 2: the
+    curvature of b^2/b_hat^2 at b_hat is 2/|b_hat|."""
 
-    BAR refreshes the surrogate on the nonzero coordinates nz only: beta is 0
-    off nz, so (J beta + u)[nz] = J[nz, nz] beta[nz] + u[nz], and the step
-    never reads the rest.  L1 coordinates can re-enter, so LASSO and ALASSO
-    refresh on all of them.
-    """
-    thr = cfg.zero_threshold
-    if weights is None:
-        beta = np.where(np.abs(beta_init) >= thr, beta_init, 0.0)
-    else:
-        beta = np.asarray(beta_init, dtype=float).copy()
-    converged, finished, n_iter, jitter = False, True, 0, 0.0
+    weights = 2.0
+
+    def start(self, beta_init):
+        return np.where(np.abs(beta_init) >= PenaltyConfig.zero_threshold, beta_init, 0.0)
+
+    def step(self, ev, beta, lam):
+        nz = np.flatnonzero(beta)
+        b = beta[nz]
+        pseudo = pseudo_data(b, ev.gradient(beta)[nz], ev.hessian(beta, nz))
+        beta_new = np.zeros_like(beta)
+        beta_new[nz] = bar_step(b, pseudo, lam)
+        return beta_new, pseudo.jitter, True
+
+    def penalty(self, beta):
+        return int(np.count_nonzero(beta))
+
+
+@dataclass(frozen=True)
+class _L1:
+    """Weighted L1, sum w|b|: ones for LASSO, ``alasso_weights`` for
+    ALASSO.  It starts from beta as given and refreshes on every coordinate,
+    since an L1 coordinate at zero can re-enter; each step is ``_l1_step`` on
+    the surrogate's (G, c), finished unless it stopped at its sweep cap."""
+
+    weights: np.ndarray
+
+    def start(self, beta_init):
+        return np.asarray(beta_init, dtype=float).copy()
+
+    def step(self, ev, beta, lam):
+        pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
+        beta_new, finished = _l1_step(pseudo.G, pseudo.c, beta, lam, self.weights)
+        return beta_new, pseudo.jitter, finished
+
+    def penalty(self, beta):
+        return float(self.weights @ np.abs(beta))
+
+
+# the penalty object of each kind, from the unpenalized coefficients
+_PENALTIES = {
+    "bar": lambda beta_tilde: _Bar(),
+    "lasso": lambda beta_tilde: _L1(np.ones(beta_tilde.size)),
+    "alasso": lambda beta_tilde: _L1(alasso_weights(beta_tilde)),
+}
+
+
+def _solve(ev, beta_init, lam, cfg, pen):
+    """The surrogate loop: from ``pen.start(beta_init)``, the penalty's
+    refresh and step (``pen.step``) until the iterates stabilize.  It
+    converges then, unless the last step did not finish.  ``pseudo_data``,
+    ``bar_step`` and ``_l1_step`` are looked up on this module per call, so
+    wrappers set there see each."""
+    beta = pen.start(beta_init)
+    converged, jitter = False, 0.0
     for n_iter in range(1, cfg.max_iter + 1):
-        # pseudo_data and bar_step are looked up on this module per call, so
-        # wrappers set there see each
-        u = ev.gradient(beta)
-        if weights is None:
-            nz = np.flatnonzero(beta)
-            b = beta[nz]
-            pseudo = pseudo_data(b, u[nz], ev.hessian(beta, nz))
-            beta_new = np.zeros_like(beta)
-            beta_new[nz] = bar_step(b, pseudo, lam)
-        else:
-            pseudo = pseudo_data(beta, u, ev.hessian(beta))
-            beta_new, finished = _l1_step(pseudo.G, pseudo.c, beta, lam, weights)
-        jitter = max(jitter, pseudo.jitter)
+        beta_new, step_jitter, finished = pen.step(ev, beta, lam)
+        jitter = max(jitter, step_jitter)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
         if delta < cfg.tol:
             converged = finished
             break
-    beta = np.where(np.abs(beta) >= thr, beta, 0.0)
-    support = np.flatnonzero(beta != 0.0)
-    # at the fixed point the adaptive ridge penalty equals lam * support size
-    penalty = support.size if weights is None else float(weights @ np.abs(beta))
-    return PenalizedEstimate(beta_hat=beta, support=support, lam=float(lam),
-                             n_iter=n_iter, objective=-ev.loglik(beta) + lam * penalty,
+    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
+    return PenalizedEstimate(beta_hat=beta, support=np.flatnonzero(beta != 0.0),
+                             lam=float(lam), n_iter=n_iter,
+                             objective=-ev.loglik(beta) + lam * pen.penalty(beta),
                              converged=converged, jitter=jitter)
 
 
 def _problem(data: Dataset, nu_tilde, cfg: PenaltyConfig):
-    """The beta-likelihood at the fit's nuisance, and the L1 weights of
-    ``cfg.kind``: None for BAR, ones for LASSO, and ``alasso_weights`` of
-    the unpenalized coefficients for ALASSO."""
+    """The beta-likelihood at the fit's nuisance, and the penalty object of
+    ``cfg.kind``: the one place the kind is read after ``PenaltyConfig``
+    checks it."""
     ev = BetaLikelihood(data, nu_tilde.params.nuisance)
-    if cfg.kind == "lasso":
-        return ev, np.ones(ev.p)
-    if cfg.kind == "alasso":
-        return ev, alasso_weights(nu_tilde.params.beta.stacked)
-    return ev, None
+    return ev, _PENALTIES[cfg.kind](nu_tilde.params.beta.stacked)
 
 
 def penalized_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = PenaltyConfig(),
@@ -320,30 +352,24 @@ def penalized_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = Pe
     ``beta_init`` or else the unpenalized estimate, nuisance fixed at the fit's."""
     if not 0.0 <= lam < np.inf:
         raise ValueError(f"lambda must be non-negative and finite, got {lam!r}")
-    ev, weights = _problem(data, nu_tilde, cfg)
+    ev, pen = _problem(data, nu_tilde, cfg)
     start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
-    return _solve(ev, start, lam, cfg, weights)
+    return _solve(ev, start, lam, cfg, pen)
 
 
-_R_DIAG_NUMERATOR = {"bar": 2.0, "lasso": 1.0, "alasso": 1.0}
-
-
-def effective_params(beta_hat, H_at_hat, lam: float, penalty: PenaltyConfig,
-                     weights=None) -> float:
-    """Effective number of parameters tr[(J + lam r)^{-1} J] on the selected
-    coordinates, with J = -H (observed information, positive definite) and
-    r the penalty-curvature diagonal: 2/|b| for BAR, 1/|b| for LASSO,
-    w/|b| for ALASSO."""
+def effective_params(beta_hat, H_at_hat, lam: float, weights) -> float:
+    """Effective number of parameters tr[(J + lam diag(r))^{-1} J] on the
+    selected coordinates, with J = -H (observed information, positive
+    definite) and r = w/|b| the penalty-curvature diagonal: ``weights`` w is
+    2 for BAR, ones for LASSO and the adaptive weights for ALASSO; a scalar
+    applies to every coordinate."""
     beta_hat = np.asarray(beta_hat, dtype=float)
-    active = np.abs(beta_hat) >= penalty.zero_threshold
+    active = np.abs(beta_hat) >= PenaltyConfig.zero_threshold
     if not active.any():
         return 0.0
     J = -np.asarray(H_at_hat, dtype=float)[np.ix_(active, active)]
-    r = _R_DIAG_NUMERATOR[penalty.kind] / np.abs(beta_hat[active])
-    if penalty.kind == "alasso":
-        if weights is None:
-            raise ValueError("alasso effective_params needs the weight vector")
-        r = r * np.asarray(weights, dtype=float)[active]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), beta_hat.shape)[active]
+    r = 1.0 / np.abs(beta_hat[active]) * w
     return float(np.trace(np.linalg.solve(J + lam * np.diag(r), J)))
 
 
@@ -361,7 +387,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig()) ->
     n = len(data)
     grid = cfg.lambda_grid if cfg.lambda_grid is not None else default_lambda_grid(n)
     grid = np.sort(np.asarray(grid, dtype=float))
-    ev, weights = _problem(data, nu_tilde, cfg)
+    ev, pen = _problem(data, nu_tilde, cfg)
     path, table = [], []
     best = None
     beta_start = nu_tilde.params.beta.stacked
@@ -370,14 +396,11 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig()) ->
                "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",
                "converged": np.nan, "n_iter": np.nan, "jitter": np.nan}
         try:
-            est = _solve(ev, beta_start, lam, cfg, weights)
+            est = _solve(ev, beta_start, lam, cfg, pen)
             ll = ev.loglik(est.beta_hat)
-            s = effective_params(est.beta_hat, ev.hessian(est.beta_hat), lam,
-                                 cfg, weights)
-            row["n_selected"] = int(est.support.size)
-            row["s"] = s
-            row["loglik"] = ll
-            row.update(converged=est.converged, n_iter=est.n_iter, jitter=est.jitter)
+            s = effective_params(est.beta_hat, ev.hessian(est.beta_hat), lam, pen.weights)
+            row.update(n_selected=int(est.support.size), s=s, loglik=ll,
+                       converged=est.converged, n_iter=est.n_iter, jitter=est.jitter)
             if s >= n:
                 row["note"] = "s >= n, excluded"
             else:

@@ -183,7 +183,8 @@ def test_criterion_4_bar_mechanics():
         for _ in range(50):
             p = int(rng.integers(3, 10))
             X = np.triu(rng.normal(size=(p, p))) + 3 * np.eye(p)
-            pdat = PseudoData(X=X, W=rng.normal(size=p))
+            W = rng.normal(size=p)
+            pdat = PseudoData(X=X, W=W, G=X.T @ X, c=X.T @ W)
             lam_r = float(rng.uniform(0.1, 20.0))
             beta = rng.normal(size=p)
             zeros = set(np.flatnonzero(np.abs(beta) < 1e-6))

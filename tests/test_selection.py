@@ -31,7 +31,7 @@ def random_pseudo(rng, p):
     X = np.linalg.qr(A)[0][:p] * rng.uniform(0.5, 2.0)
     X = np.triu(rng.normal(size=(p, p))) + 3 * np.eye(p)
     W = rng.normal(size=p)
-    return PseudoData(X=X, W=W)
+    return PseudoData(X=X, W=W, G=X.T @ X, c=X.T @ W)
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +58,8 @@ class TestBarStep:
 
     def test_orthonormal_scalar_update(self):
         # X'X = 1: update is w / (1 + lam / beta_prev^2)
-        pd = PseudoData(X=np.array([[1.0]]), W=np.array([0.8]))
+        X, W = np.array([[1.0]]), np.array([0.8])
+        pd = PseudoData(X=X, W=W, G=X.T @ X, c=X.T @ W)
         for lam, bp in [(0.5, 1.0), (2.0, 0.3), (0.0, 2.0)]:
             got = bar_step(np.array([bp]), pd, lam)[0]
             assert got == pytest.approx(0.8 / (1.0 + lam / bp**2), rel=1e-12)
@@ -392,17 +393,39 @@ class TestExactFinish:
         assert np.all(got > 0.0) and got.tobytes() == want.tobytes()
 
 
+def _random_information(rng, p):
+    """A random beta with exact zeros and entries below the zero threshold,
+    and a positive definite J."""
+    beta = rng.normal(size=p)
+    beta[rng.random(p) < 0.3] = 0.0
+    beta[0], beta[-1] = 1e-9, -0.8
+    A = rng.normal(size=(p, p))
+    return beta, A @ A.T + p * np.eye(p)
+
+
+def _trace(J, beta, lam, r_of_b):
+    """tr[(J + lam diag(r))^{-1} J] on the coordinates at or above the zero
+    threshold, with r = r_of_b(|b|, active)."""
+    active = np.abs(beta) >= PenaltyConfig.zero_threshold
+    Ja = J[np.ix_(active, active)]
+    r = r_of_b(np.abs(beta[active]), active)
+    return float(np.trace(np.linalg.solve(Ja + lam * np.diag(r), Ja)))
+
+
 class TestEffectiveParams:
+    """``effective_params`` takes the penalty's curvature weights w, with
+    r = w/|b|: 2 for BAR, ones for LASSO, the adaptive weights for ALASSO."""
+
     def test_lambda_zero_counts_nonzeros(self):
         beta = np.array([1.0, 0.0, -0.5, 2.0])
         H = -np.eye(4) * 3.0
-        s = effective_params(beta, H, 0.0, PenaltyConfig(kind="bar"))
+        s = effective_params(beta, H, 0.0, 2.0)
         assert s == pytest.approx(3.0)
 
     def test_infinite_lambda_kills_everything(self):
         beta = np.array([1.0, -0.5])
         H = -np.eye(2)
-        s = effective_params(beta, H, 1e14, PenaltyConfig(kind="bar"))
+        s = effective_params(beta, H, 1e14, 2.0)
         assert s < 1e-10
 
     def test_scalar_trace_formula(self):
@@ -410,19 +433,33 @@ class TestEffectiveParams:
         beta = np.array([1.0])
         H = np.array([[-2.0]])
         for lam in (0.0, 1.0, 5.0):
-            s = effective_params(beta, H, lam, PenaltyConfig(kind="lasso"))
+            s = effective_params(beta, H, lam, np.ones(1))
             assert s == pytest.approx(2.0 / (2.0 + lam))
 
     def test_bar_uses_doubled_curvature(self):
         beta = np.array([2.0])
         H = np.array([[-2.0]])
-        s = effective_params(beta, H, 3.0, PenaltyConfig(kind="bar"))
+        s = effective_params(beta, H, 3.0, 2.0)
         assert s == pytest.approx(2.0 / (2.0 + 3.0 * 2.0 / 2.0))
 
-    def test_alasso_requires_weights(self):
-        with pytest.raises(ValueError):
-            effective_params(np.array([1.0]), np.array([[-1.0]]), 1.0,
-                             PenaltyConfig(kind="alasso"))
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 30.0])
+    def test_weights_two_give_the_bar_curvature_exactly(self, lam):
+        # (1/|b|) * 2 rounds as 2/|b| does, so the trace is the same bits
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            beta, J = _random_information(rng, int(rng.integers(2, 9)))
+            want = _trace(J, beta, lam, lambda b, _: 2.0 / b)
+            assert effective_params(beta, -J, lam, 2.0) == want
+            assert effective_params(beta, -J, lam, np.full(beta.size, 2.0)) == want
+
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 30.0])
+    def test_alasso_weights_give_the_weighted_curvature_exactly(self, lam):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            beta, J = _random_information(rng, int(rng.integers(2, 9)))
+            w = alasso_weights(beta + rng.normal(scale=0.3, size=beta.size))
+            want = _trace(J, beta, lam, lambda b, active: (1.0 / b) * w[active])
+            assert effective_params(beta, -J, lam, w) == want
 
 
 class TestGcv:
@@ -647,7 +684,8 @@ def truncated():
 
 class TestFitConvention:
     """Selection evaluates the likelihood at the fit's nuisance, and
-    ``cfg.kind`` alone decides the step and the weights."""
+    ``cfg.kind`` alone decides the penalty object, which decides the step
+    and the weights."""
 
     def test_weibull_path_scores_the_fit_likelihood(self, truncated):
         nu = fit_unpenalized(truncated, FitConfig(baseline="weibull"))
@@ -668,9 +706,15 @@ class TestFitConvention:
     def test_kind_decides_the_step_and_weights(self, truncated, kind):
         nu = fit_unpenalized(truncated, FitConfig(baseline="weibull"))
         cfg = PenaltyConfig(kind=kind)
-        ev = BetaLikelihood(truncated, nu.params.nuisance)
-        want = selection_mod._solve(ev, nu.params.beta.stacked, 1.0, cfg,
-                                    _kind_weights(kind, nu, truncated.p))
+        ev, pen = selection_mod._problem(truncated, nu, cfg)
+        weights = _kind_weights(kind, nu, truncated.p)
+        if kind == "bar":
+            assert type(pen) is selection_mod._Bar
+        else:
+            assert type(pen) is selection_mod._L1
+            assert pen.weights.dtype == weights.dtype
+            assert pen.weights.tobytes() == weights.tobytes()
+        want = selection_mod._solve(ev, nu.params.beta.stacked, 1.0, cfg, pen)
         _assert_same_estimate(penalized_solve(truncated, nu, 1.0, cfg), want)
 
 
@@ -700,12 +744,13 @@ class TestSweepCap:
 class TestModuleLookups:
     """The solve loop looks ``pseudo_data`` and ``bar_step`` up on
     ``scrbar.selection`` at call time, so a wrapper set there sees every
-    surrogate refresh and every BAR step."""
+    surrogate refresh and every BAR step; ``gcv_select`` looks up
+    ``effective_params`` there too, once per lambda whose solve returned."""
 
     @pytest.mark.parametrize("kind", ["bar", "lasso"])
     def test_wrappers_count_every_iteration(self, fitted, monkeypatch, kind):
         data, nu = fitted
-        counts = {"pseudo_data": 0, "bar_step": 0}
+        counts = {"pseudo_data": 0, "bar_step": 0, "effective_params": 0}
 
         def counting(name):
             real = getattr(selection_mod, name)
@@ -724,6 +769,7 @@ class TestModuleLookups:
         assert iters > len(res.path)
         assert counts["pseudo_data"] == iters
         assert counts["bar_step"] == (iters if kind == "bar" else 0)
+        assert counts["effective_params"] == len(res.table) == len(res.path)
 
 
 class TestJitter:
