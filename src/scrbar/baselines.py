@@ -13,13 +13,17 @@ Each baseline set evaluates itself: ``log_hazard(t, j)`` and
 functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
 ``bernstein_log_hazard`` are entry points to those methods.
 
-The quadrature table ``_BernsteinTable`` is node-major: its log terms form
-a (32, n) array with one row per node, and the log-sum-exp and softmax over
-the nodes (``_col_logsumexp``, ``_col_softmax``) run as elementwise passes
-over those rows.  Their sums add in NumPy's pairwise order for a 32-term
-row (``_col_sum``), so the answers are those of a time-major table, one row
-of 32 per time, bit for bit.  The likelihood's frailty closed form uses the
-same kernels on its (3, n) terms, where the sums add in order.
+The quadrature table ``_BernsteinTable`` evaluates each distinct time once
+and gathers the answers back to the times asked for.  It is node-major: its
+log terms form a (32, N) array with one row per node and one column per
+distinct time, and a fit stacks the blocks of all its transitions (and
+entry times) side by side in that one array.  The log-sum-exp and softmax
+over the nodes (``_col_logsumexp``, ``_col_softmax``) then run once per
+evaluation as elementwise passes over its rows.  Their sums add in NumPy's
+pairwise order for a 32-term row (``_col_sum``), so the answers are those
+of a time-major table, one row of 32 per time, bit for bit.  The
+likelihood's frailty closed form uses the log-sum-exp on its (3, n) terms,
+where a three-term path gives the same bits at two ``exp`` per column.
 """
 
 from __future__ import annotations
@@ -246,7 +250,34 @@ def _col_logsumexp(a, shift=None):
     equal to the column maximum are left out of the sum s of the shifted
     exponentials, s is divided by m, and the result is
     log1p(s) + log(m) + max.
+
+    A (3, n) array without a shift, the frailty closed form's terms, takes
+    a three-term path: where a column has one maximum, m = 1 and s is the
+    sum of the other two shifted exponentials, a single addition that is
+    exact in either order, so log1p(exp(mid - max) + exp(min - max)) + max
+    is the general result bit for bit at two ``exp`` per column.  Columns
+    with a tied maximum (all -inf ones included) go to the general kernel.
     """
+    if shift is None and len(a) == 3:
+        a0, a1, a2 = a
+        hi, lo = np.maximum(a0, a1), np.minimum(a0, a1)
+        mx = np.maximum(hi, a2)
+        mid = np.maximum(lo, np.minimum(hi, a2))
+        one = mx > mid                  # columns with one maximum
+        if not one.all():
+            out = np.empty(a.shape[1])
+            out[one] = _col_logsumexp(a[:, one])
+            tied = a[:, ~one]
+            out[~one] = _col_logsumexp(tied, _col_shift(tied))
+            return out
+        s = np.minimum(lo, a2, out=lo)
+        s -= mx
+        mid -= mx
+        s = np.exp(s, out=s)
+        s += np.exp(mid, out=mid)
+        s = np.log1p(s, out=s)
+        s += mx
+        return s
     mx, e = _col_shift(a) if shift is None else shift
     hit = a == mx
     m = hit.sum(axis=0, dtype=float)
@@ -279,58 +310,111 @@ class _BernsteinTable:
     With the times fixed the basis values at every node are constants, so
     only the coefficient vector phi moves between evaluations.
 
-    The layout is node-major: row q n + i of ``B``, shape (32 n, m+1), is the
-    basis at node q of time i, so ``B @ phi`` is the same row-by-row dgemv
-    as on a time-major table and reshapes to (32, n), one row per node.
-    Every reduction over the nodes is then an elementwise pass over 32 rows
-    of n instead of a reduction of n rows of 32, and the sums add in NumPy's
-    pairwise order for a 32-term row (``_col_sum``), so log Lambda and its
-    derivative are bit for bit those of a time-major table.  ``BT`` holds
-    the basis once more as (m+1, 32, n) for the derivative's contraction.
+    A table holds one block of times under one basis, or several blocks
+    side by side (``stack``), each with its own degree, support and
+    coefficients.  Each block evaluates its distinct times once: ``log_cumhaz``
+    and ``dlog_cumhaz`` gather the answers back to the block's times through
+    ``np.unique``'s inverse, and skip the gather when every time is distinct.
+    A block of sojourn times that are mostly 0 is then a few columns wide.
+
+    The layout is node-major: row q n + i of a block's basis ``B[k]``, shape
+    (32 n, m+1), is the basis at node q of its distinct time i, so
+    ``B[k] @ phi`` is the same row-by-row dgemv as on a time-major table and
+    reshapes to (32, n), one row per node.  ``scores`` writes every block's
+    rows into one (32, N) array, so each reduction over the nodes is one
+    elementwise pass over 32 rows of N for all blocks at once instead of a
+    reduction of N rows of 32.  The sums add in NumPy's pairwise order for a
+    32-term row (``_col_sum``), so log Lambda and its derivative are bit for
+    bit those of a time-major table, one per block.  ``BT[k]`` holds a
+    block's basis once more as (m+1, 32, n) for the derivative's
+    contraction, built on first use.
     """
 
     def __init__(self, t, m, support):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        c, u = support
-        if c > 0:
-            raise ValueError("Bernstein cumulative hazard needs support starting at 0")
-        if np.any(t < 0):
-            raise ValueError("negative time in cumulative_hazard")
-        _rescale(t, c, u)  # domain check incl. upper-end slack
+        self._build([(t, m, support)])
+
+    @classmethod
+    def stack(cls, blocks):
+        """One table over the (t, m, support) blocks, in that order."""
+        table = cls.__new__(cls)
+        table._build(blocks)
+        return table
+
+    def _build(self, blocks):
         x, self.log_w = _gauss_legendre()
-        nodes = np.minimum(0.5 * t * (x[:, None] + 1.0), u)
-        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u)
+        self.B, self.inverse, self.cols, half_t = [], [], [], []
+        start = 0
+        for t, m, (c, u) in blocks:
+            t = np.atleast_1d(np.asarray(t, dtype=float))
+            if c > 0:
+                raise ValueError("Bernstein cumulative hazard needs support starting at 0")
+            if np.any(t < 0):
+                raise ValueError("negative time in cumulative_hazard")
+            _rescale(t, c, u)  # domain check incl. upper-end slack
+            times, inverse = np.unique(t, return_inverse=True)
+            if times.size == t.size:
+                times, inverse = t, None
+            nodes = np.minimum(0.5 * times * (x[:, None] + 1.0), u)
+            self.B.append(bernstein_basis_matrix(nodes.ravel(), m, c, u))
+            self.inverse.append(inverse)
+            self.cols.append(slice(start, start + times.size))
+            start += times.size
+            half_t.append(0.5 * times)
+        self.BT = [None] * len(blocks)
         with np.errstate(divide="ignore"):
-            self.log_half_t = np.log(0.5 * t)
+            self.log_half_t = np.log(np.concatenate(half_t))
 
-    @cached_property
-    def BT(self):
-        """The basis as (m+1, 32, n), built for the first derivative."""
-        k, n = self.log_w.size, self.log_half_t.size
-        return np.ascontiguousarray(self.B.reshape(k, n, -1).transpose(2, 0, 1))
+    def scores(self, *phis):
+        """The log quadrature terms log w_q + B(u_q) phi of every block at its
+        coefficients ``phis[k]``, side by side in one (32, N) array; each
+        block's dgemv fills its own columns."""
+        a = np.empty((self.log_w.size, self.log_half_t.size))
+        for B, cols, phi in zip(self.B, self.cols, phis):
+            np.add((B @ phi).reshape(self.log_w.size, -1), self.log_w[:, None],
+                   out=a[:, cols])
+        return _Scores(a, self.log_half_t)
 
-    def scores(self, phi):
-        """log w_q + B(u_q) phi: the log quadrature terms, one row per node,
-        with their ``_col_shift``, which log Lambda and its derivative share."""
-        a = (self.B @ phi).reshape(self.log_w.size, -1) + self.log_w[:, None]
-        return a, _col_shift(a)
+    def log_cumhaz(self, scores, k=0):
+        """log Lambda at block k's times."""
+        out = scores.log_cumhaz[self.cols[k]]
+        return out if self.inverse[k] is None else out[self.inverse[k]]
 
-    def log_cumhaz(self, scores):
-        return self.log_half_t + _col_logsumexp(*scores)
-
-    def dlog_cumhaz(self, scores):
-        """d log Lambda / d phi, one row per time: quadrature-weight softmax
-        of the basis."""
-        _, (_, e) = scores
-        P = _col_softmax(e)
-        if self.BT.shape[0] == 1 or P.shape[1] == 1:
+    def dlog_cumhaz(self, scores, k=0):
+        """d log Lambda / d phi at block k's times, one row per time:
+        quadrature-weight softmax of the basis."""
+        P = scores.softmax[:, self.cols[k]]
+        if self.BT[k] is None:
+            self.BT[k] = np.ascontiguousarray(
+                self.B[k].reshape(P.shape + (-1,)).transpose(2, 0, 1))
+        BT = self.BT[k]
+        if BT.shape[0] == 1 or P.shape[1] == 1:
             # NumPy's einsum adds in another order for one coefficient or one
             # time; the time-major contraction keeps those bits
-            return np.einsum("iq,iqr->ir", np.ascontiguousarray(P.T),
-                             np.ascontiguousarray(self.BT.T))
+            d = np.einsum("iq,iqr->ir", np.ascontiguousarray(P.T),
+                          np.ascontiguousarray(BT.T))
+        else:
+            d = np.einsum("qi,rqi->ri", P, BT).T
         # in C order, as the time-major contraction returns it, so products
-        # with it round as before
-        return np.einsum("qi,rqi->ri", P, self.BT).T.copy()
+        # with it round as before; the gather copies into C order
+        return np.ascontiguousarray(d) if self.inverse[k] is None else d[self.inverse[k]]
+
+
+class _Scores:
+    """A table's (32, N) log quadrature terms at one set of coefficients, with
+    their ``_col_shift``; log Lambda and the softmax over the nodes are
+    computed once for every block, on first use."""
+
+    def __init__(self, a, log_half_t):
+        self.a, self.log_half_t = a, log_half_t
+        self.shift = _col_shift(a)
+
+    @cached_property
+    def log_cumhaz(self):
+        return self.log_half_t + _col_logsumexp(self.a, self.shift)
+
+    @cached_property
+    def softmax(self):
+        return _col_softmax(self.shift[1])
 
 
 def cumulative_hazard(t, spec, j: int):

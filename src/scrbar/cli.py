@@ -35,6 +35,7 @@ from .domain import Dataset, RegressionCoefficients, validate_dataset
 from .estimation import FitConfig, FitResult, bic_degree_select, fit_unpenalized
 from .metrics import ReplicateMetrics, aggregate, confusion_counts, ges, mse
 from .selection import (
+    _PENALTIES,
     PenaltyConfig,
     default_lambda_grid,
     gcv_select,
@@ -233,7 +234,7 @@ def _check_study(methods, replications, jobs):
     if not methods:
         raise ValueError("at least one method is required")
     for i, m in enumerate(methods):
-        if m not in ("bar", "lasso", "alasso", "oracle"):
+        if m not in (*_PENALTIES, "oracle"):
             raise ValueError(f"unknown method {m!r}")
         if m in methods[:i]:
             raise ValueError(f"repeated method {m!r}")
@@ -702,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("select", help="penalized variable selection")
     s.add_argument("csv")
-    s.add_argument("--method", choices=("bar", "lasso", "alasso", "oracle"),
+    s.add_argument("--method", choices=(*_PENALTIES, "oracle"),
                    default="bar")
     s.add_argument("--lambda-min", type=_positive(float), default=1e-3)
     s.add_argument("--lambda-max", type=_positive(float), default=1e2)

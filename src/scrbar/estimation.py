@@ -150,22 +150,31 @@ class _Weibull:
 
 class _Bernstein:
     """Bernstein block of the packed vector: the log-hazard coefficients of
-    transitions 1-3 in turn, with quadrature tables and event bases fixed
-    by the data."""
+    transitions 1-3 in turn, with one quadrature table and the event bases
+    fixed by the data.
+
+    The table stacks a block per transition over its exposure interval and,
+    in a truncated fit, one each for transitions 1-2 at the entry times, so
+    one pass over the nodes serves every block at each evaluation.  A block
+    evaluates its distinct times only: transition 3's sojourns are 0 for
+    every record without an observed non-terminal event, and so are the
+    entry times of untruncated records.
+    """
 
     def __init__(self, data, core, cfg):
+        self.core = core
         self.degrees = cfg.degrees
         self.size = sum(m + 1 for m in cfg.degrees)
         self.bounds = [(-40.0, 20.0)] * self.size
         ends = np.cumsum([m + 1 for m in cfg.degrees]).tolist()
         self.blocks = [slice(a, b) for a, b in zip([0] + ends[:2], ends)]
         self.supports = bernstein_supports(data)
-
-        def table(t, j):
-            return _BernsteinTable(t, cfg.degrees[j], self.supports[j])
-        self.tables = [table(core.interval[j], j) for j in range(3)]
-        self.tables_entry = (None if core.entry is None
-                             else [table(core.entry, j) for j in range(2)])
+        # the transition of each table block: 1-3 over their intervals, then
+        # 1-2 at the entry times
+        self.of_block = (0, 1, 2) if core.entry is None else (0, 1, 2, 0, 1)
+        times = (*core.interval, core.entry, core.entry)
+        self.table = _BernsteinTable.stack(
+            [(t, cfg.degrees[j], self.supports[j]) for t, j in zip(times, self.of_block)])
         self.ev_basis = [
             bernstein_basis_matrix(core.ev_times[j], cfg.degrees[j],
                                    *self.supports[j])
@@ -181,24 +190,24 @@ class _Bernstein:
 
     def evaluate(self, base):
         blocks = [base[s] for s in self.blocks]
-        # each table's quadrature scores feed both log Lambda and its derivative
-        scores = [t.scores(phi) for t, phi in zip(self.tables, blocks)]
-        log_t = [t.log_cumhaz(sc) for t, sc in zip(self.tables, scores)]
-        log_ratio, scores_entry = [None, None, None], None
-        if self.tables_entry is not None:
-            scores_entry = [t.scores(phi) for t, phi in zip(self.tables_entry, blocks)]
-            log_ratio[:2] = [t.log_cumhaz(sc) - lt
-                             for t, sc, lt in zip(self.tables_entry, scores_entry, log_t)]
+        table = self.table
+        # one set of quadrature scores feeds every block's log Lambda and
+        # derivative
+        scores = table.scores(*(blocks[j] for j in self.of_block))
+        log_t = [table.log_cumhaz(scores, j) for j in range(3)]
+        log_ratio = [None, None, None]
+        if self.core.entry is not None:
+            log_ratio[:2] = [table.log_cumhaz(scores, 3 + j) - log_t[j] for j in range(2)]
         ev = [float(np.sum(self.ev_basis[j] @ phi)) for j, phi in enumerate(blocks)]
 
         def grad(w, ratio):
             g = []
             for j in range(3):
-                d = self.tables[j].dlog_cumhaz(scores[j])
+                d = table.dlog_cumhaz(scores, j)
                 R = ratio[j]
                 if R is not None:
                     # d log[L(t) - L(l)] = (d log L(t) - R d log L(l)) / (1 - R)
-                    d = (d - R[:, None] * self.tables_entry[j].dlog_cumhaz(scores_entry[j])
+                    d = (d - R[:, None] * table.dlog_cumhaz(scores, 3 + j)
                          ) / (1.0 - R[:, None])
                 g.append(self.ev_basis_sum[j] - w[:, j] @ d)
             return np.concatenate(g)

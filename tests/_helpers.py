@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 
 from scrbar import (
     BernsteinBaselineSet,
@@ -13,6 +14,7 @@ from scrbar import (
     WeibullBaselineSet,
     simulate_dataset,
 )
+from scrbar.baselines import _gauss_legendre, bernstein_basis_matrix
 from scrbar.estimation import bernstein_supports
 
 # a one-valued parameter, so that a test's id names the left-truncation
@@ -62,3 +64,55 @@ def unit_weibull(gamma=1.0):
     return NuisanceParameters(
         gamma=gamma,
         baseline=WeibullBaselineSet(log_alpha=np.zeros(3), log_tau=np.zeros(3)))
+
+
+class TimeMajorTable:
+    """The time-major Bernstein quadrature table: B as (n, 32, m+1), one row
+    of 32 quadrature terms per time, reduced by scipy.special (whose
+    arithmetic the package's column kernels follow bit for bit)."""
+
+    def __init__(self, t, m, support):
+        c, u = support
+        x, self.log_w = _gauss_legendre()
+        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
+        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(len(t), x.size, m + 1)
+        with np.errstate(divide="ignore"):
+            self.log_half_t = np.log(0.5 * t)
+
+    def log_cumhaz(self, phi):
+        return self.log_half_t + scipy.special.logsumexp(self.B @ phi + self.log_w, axis=1)
+
+    def dlog_cumhaz(self, phi):
+        P = scipy.special.softmax(self.B @ phi + self.log_w, axis=1)
+        return np.einsum("iq,iqr->ir", P, self.B)
+
+
+def reference_bernstein_evaluate(block, base):
+    """``estimation._Bernstein.evaluate`` computed per transition: one
+    time-major table for each transition's exposure interval and, in a
+    truncated fit, for transitions 1-2 at the entry times, each over every
+    record's time.  Same signature and returns, so it can stand in for the
+    method."""
+    core = block.core
+    blocks = [base[s] for s in block.blocks]
+
+    def table(t, j):
+        return TimeMajorTable(t, block.degrees[j], block.supports[j])
+    tables = [table(core.interval[j], j) for j in range(3)]
+    log_t = [tab.log_cumhaz(phi) for tab, phi in zip(tables, blocks)]
+    log_ratio, entry = [None, None, None], None
+    if core.entry is not None:
+        entry = [table(core.entry, j) for j in range(2)]
+        log_ratio[:2] = [tab.log_cumhaz(phi) - lt for tab, phi, lt in zip(entry, blocks, log_t)]
+    ev = [float(np.sum(block.ev_basis[j] @ phi)) for j, phi in enumerate(blocks)]
+
+    def grad(w, ratio):
+        g = []
+        for j in range(3):
+            d = tables[j].dlog_cumhaz(blocks[j])
+            R = ratio[j]
+            if R is not None:
+                d = (d - R[:, None] * entry[j].dlog_cumhaz(blocks[j])) / (1.0 - R[:, None])
+            g.append(block.ev_basis_sum[j] - w[:, j] @ d)
+        return np.concatenate(g)
+    return log_t, log_ratio, ev, grad

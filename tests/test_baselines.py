@@ -20,10 +20,8 @@ from scrbar.baselines import (
     _col_shift,
     _col_softmax,
     _col_sum,
-    _gauss_legendre,
-    bernstein_basis_matrix,
 )
-from _helpers import adaptive_cumhaz
+from _helpers import TimeMajorTable as _TimeMajorTable, adaptive_cumhaz
 
 
 def flat_bernstein(value=0.0, degrees=(2, 2, 3), u=10.0):
@@ -163,8 +161,10 @@ class TestCumulativeHazard:
         import scrbar
         assert not hasattr(scrbar, "QuadratureRule")
         table = _BernsteinTable(np.array([0.5, 2.0]), 3, (0.0, 4.0))
-        # node-major: row q * n + i is node q of time i
-        assert table.B.shape == (32 * 2, 4) and table.BT.shape == (4, 32, 2)
+        # node-major: row q * n + i of a block's basis is node q of time i;
+        # the transposed basis is built with the first derivative
+        table.dlog_cumhaz(table.scores(np.zeros(4)))
+        assert table.B[0].shape == (32 * 2, 4) and table.BT[0].shape == (4, 32, 2)
         np.testing.assert_array_equal(table.log_w,
                                       np.log(np.polynomial.legendre.leggauss(32)[1]))
 
@@ -234,16 +234,24 @@ class TestRowKernels:
         assert np.array_equal(_col_logsumexp(a, _col_shift(a)), want)
 
     @settings(max_examples=150, deadline=None)
-    @given(a=arrays(float, st.tuples(st.just(3), st.integers(0, 30)), elements=_SCORE))
-    def test_three_column_logsumexp_matches_row_kernel_bitwise(self, a):
-        # columns with a three-way tie, a tie at -inf and nothing but -inf always
-        a = np.hstack([a, [[1.5, -np.inf, -np.inf], [1.5, -np.inf, -np.inf],
-                           [1.5, 0.0, -np.inf]]])
-        with np.errstate(invalid="ignore", divide="ignore"):
-            want = scipy.special.logsumexp(np.ascontiguousarray(a.T), axis=1)
-        got = _col_logsumexp(a)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
+    @given(a=arrays(float, st.tuples(st.just(3), st.integers(0, 30)), elements=_SCORE),
+           sojourn=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_three_column_logsumexp_matches_row_kernel_bitwise(self, a, sojourn, seed):
+        if sojourn:
+            # the closed form's pattern: no sojourn term on most records
+            a[2, np.random.default_rng(seed).random(a.shape[1]) < 0.76] = -np.inf
+        # columns with a tie at each pair of rows, at the maximum and below it,
+        # a three-way tie, a tie at -inf and nothing but -inf; with and without
+        # them, and none (n = 0)
+        ties = np.array([[2.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.5, -np.inf, -np.inf],
+                         [2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 1.5, -np.inf, -np.inf],
+                         [1.0, 2.0, 2.0, 2.0, 1.0, 1.0, 1.5, 0.0, -np.inf]])
+        for a in (a, np.hstack([a, ties]), np.hstack([ties, a]), ties[:, :0]):
+            with np.errstate(invalid="ignore", divide="ignore"):
+                want = scipy.special.logsumexp(np.ascontiguousarray(a.T), axis=1)
+            got = _col_logsumexp(a)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
 
     @settings(max_examples=150, deadline=None)
     @given(a=_COLS)
@@ -291,27 +299,6 @@ class TestNumpyOrder:
         assert np.array_equal(got.T, np.einsum("iq,iqr->ir", P, B))
 
 
-class _TimeMajorTable:
-    """The time-major table the node-major one replaced: B as (n, 32, m+1),
-    one row of 32 quadrature terms per time, reduced by scipy.special (whose
-    arithmetic its row kernels followed bit for bit)."""
-
-    def __init__(self, t, m, support):
-        c, u = support
-        x, self.log_w = _gauss_legendre()
-        nodes = np.minimum(0.5 * t[:, None] * (x[None, :] + 1.0), u)
-        self.B = bernstein_basis_matrix(nodes.ravel(), m, c, u).reshape(len(t), x.size, m + 1)
-        with np.errstate(divide="ignore"):
-            self.log_half_t = np.log(0.5 * t)
-
-    def log_cumhaz(self, phi):
-        return self.log_half_t + scipy.special.logsumexp(self.B @ phi + self.log_w, axis=1)
-
-    def dlog_cumhaz(self, phi):
-        P = scipy.special.softmax(self.B @ phi + self.log_w, axis=1)
-        return np.einsum("iq,iqr->ir", P, self.B)
-
-
 class TestNodeMajorTable:
     @settings(max_examples=150, deadline=None)
     @given(m=st.integers(0, 6), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
@@ -329,3 +316,42 @@ class TestNodeMajorTable:
         d, want = table.dlog_cumhaz(scores), ref.dlog_cumhaz(phi)
         # the same bits in the same C layout, so products with it round alike
         assert d.flags.c_contiguous and np.array_equal(d, want)
+
+
+class TestStackedTable:
+    @settings(max_examples=150, deadline=None)
+    @given(k=st.integers(1, 5), single=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_matches_one_time_major_table_per_block_bitwise(self, k, single, seed):
+        # a table of k blocks, each of its own degree and support, over times
+        # with zeros and repeats (block ``single`` has one distinct time, and
+        # some blocks have none repeated), evaluated in one stacked pass
+        rng = np.random.default_rng(seed)
+        blocks, phis = [], []
+        for b in range(k):
+            m, u, n = int(rng.integers(0, 7)), rng.uniform(0.5, 20.0), int(rng.integers(1, 150))
+            if b == single % k:
+                t = np.full(n, u * rng.random() if rng.random() < 0.5 else 0.0)
+            elif rng.random() < 0.3:
+                t = u * rng.random(n)
+            else:
+                pool = u * rng.random(int(rng.integers(1, n + 1)))
+                pool[rng.random(pool.size) < 0.2] = 0.0
+                t = rng.choice(pool, n)
+            blocks.append((t, m, (0.0, u)))
+            phis.append(rng.normal(0.0, 3.0, m + 1))
+        table = _BernsteinTable.stack(blocks)
+        scores = table.scores(*phis)
+        for j, ((t, m, support), phi) in enumerate(zip(blocks, phis)):
+            ref = _TimeMajorTable(t, m, support)
+            assert np.array_equal(table.log_cumhaz(scores, j), ref.log_cumhaz(phi))
+            d = table.dlog_cumhaz(scores, j)
+            assert d.flags.c_contiguous and np.array_equal(d, ref.dlog_cumhaz(phi))
+
+    def test_each_distinct_time_is_one_column(self):
+        t = np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0])
+        table = _BernsteinTable.stack([(t, 2, (0.0, 4.0)), (np.zeros(5), 3, (0.0, 4.0)),
+                                       (np.array([3.0, 1.0]), 1, (0.0, 4.0))])
+        assert [c.stop - c.start for c in table.cols] == [3, 1, 2]
+        assert table.scores(np.zeros(3), np.zeros(4), np.zeros(2)).a.shape == (32, 6)
+        # every time distinct: no gather, and the times keep their order
+        assert table.inverse[2] is None and table.B[2].shape == (32 * 2, 2)

@@ -541,6 +541,18 @@ class TestStudyInputs:
                      "--out", str(tmp_path / "bad")]) == 1
         assert "--seed" in capsys.readouterr().err
 
+    def test_methods_are_the_penalty_kinds_and_the_oracle(self, monkeypatch):
+        # a kind added to the selection table reaches a study's method check
+        # and select's --method without a second list to edit
+        import scrbar.cli as cli_mod
+        import scrbar.selection as selection
+        monkeypatch.setitem(selection._PENALTIES, "scad", lambda beta_tilde: None)
+        cli_mod._check_study(["bar", "lasso", "alasso", "scad", "oracle"], 1, 1)
+        args = cli_mod.build_parser().parse_args(["select", "x.csv", "--method", "scad"])
+        assert args.method == "scad"
+        with pytest.raises(ValueError, match="unknown method 'ridge'"):
+            cli_mod._check_study(["ridge"], 1, 1)
+
 
 def _child_env():
     """The environment for a child interpreter that imports the scrbar this

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from scrbar import (
+    Dataset,
     FitConfig,
     FitResult,
     PenaltyConfig,
@@ -17,8 +18,8 @@ from scrbar import (
     scenario_diverging_p,
     simulate_dataset,
 )
-from scrbar.estimation import _GTOL, _Objective, bernstein_supports
-from _helpers import CALENDAR, small_dataset, small_scenario
+from scrbar.estimation import _GTOL, _Bernstein, _Objective, bernstein_supports
+from _helpers import CALENDAR, reference_bernstein_evaluate, small_dataset, small_scenario
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +279,56 @@ class TestBicDegreeSelect:
             supports.append(set(res.best.support.tolist()))
         overlap = len(supports[0] & supports[1])
         assert overlap >= max(len(supports[0]), len(supports[1])) - 2
+
+
+def _variant(data, sojourns=None, untruncated_every=None):
+    """``data`` keeping only its first ``sojourns`` observed non-terminal
+    events (the others become terminal events or censoring at y1), or with
+    every ``untruncated_every``-th entry time set to 0."""
+    l, d1, y2 = data.l.copy(), data.delta1.copy(), data.y2.copy()
+    if sojourns is not None:
+        drop = np.flatnonzero(d1 == 1.0)[sojourns:]
+        d1[drop], y2[drop] = 0.0, data.y1[drop]
+    if untruncated_every is not None:
+        l[::untruncated_every] = 0.0
+    return Dataset.from_arrays(l, data.y1, d1, y2, data.delta2, data.Z1, data.Z2, data.Z3)
+
+
+class TestStackedBernsteinObjective:
+    """The fit's stacked, distinct-time Bernstein evaluation against the
+    per-transition one over every record's time, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["untruncated", "truncated", "one sojourn", "no sojourn"])
+    def test_value_and_grad_match_the_per_transition_evaluation(self, monkeypatch, case):
+        data = small_dataset(n=120, d=3, seed=5, trunc_upper=0.0 if case == "untruncated" else 0.4)
+        data = {"untruncated": data, "truncated": _variant(data, untruncated_every=3),
+                "one sojourn": _variant(data, sojourns=1),
+                "no sojourn": _variant(data, sojourns=0)}[case]
+        obj = _Objective(data, FitConfig(baseline="bernstein", degrees=(2, 0, 3)))
+        assert (obj.core.entry is None) == (case == "untruncated")
+        if case == "truncated":
+            assert (obj.core.entry == 0.0).any() and (obj.core.entry > 0.0).any()
+        if case.endswith("sojourn"):
+            assert (obj.core.sojourn > 0.0).sum() == (case == "one sojourn")
+        rng = np.random.default_rng(11)
+        thetas = [obj.initial_point()] + [obj.initial_point() + rng.normal(0.0, 0.3, obj.n_params)
+                                          for _ in range(3)]
+        got = [obj.value_and_grad(theta) for theta in thetas]
+        monkeypatch.setattr(obj.base, "evaluate",
+                            lambda base: reference_bernstein_evaluate(obj.base, base))
+        for theta, (value, grad) in zip(thetas, got):
+            want_value, want_grad = obj.value_and_grad(theta)
+            assert value == want_value and np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("seed, trunc_upper", [(6, 0.0), (7, 0.4)])
+    def test_fit_matches_the_per_transition_evaluation(self, monkeypatch, seed, trunc_upper):
+        data = small_dataset(n=150, d=3, seed=seed, trunc_upper=trunc_upper)
+        cfg = FitConfig(baseline="bernstein")
+        got = fit_unpenalized(data, cfg)
+        monkeypatch.setattr(_Bernstein, "evaluate", reference_bernstein_evaluate)
+        want = fit_unpenalized(data, cfg)
+        assert got.n_iter == want.n_iter and got.loglik == want.loglik
+        assert got.params.beta.stacked.tobytes() == want.params.beta.stacked.tobytes()
+        assert got.params.nuisance.gamma == want.params.nuisance.gamma
+        for a, b in zip(got.params.nuisance.baseline.coeffs, want.params.nuisance.baseline.coeffs):
+            assert a.tobytes() == b.tobytes()

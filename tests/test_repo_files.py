@@ -1,5 +1,5 @@
 """Checks on files outside the package: the README's quick start, the
-quicker demos and the benchmark tracer's lookup sites."""
+quicker demos, the benchmark tracer's lookup sites and the CI workflow."""
 
 import importlib.util
 import re
@@ -67,3 +67,18 @@ def test_benchmark_answer_check_accepts_a_fit(monkeypatch, baseline):
     res = workloads.OpResult(0.0, False, {}, [],
                              fit_calls=[((data, cfg), fit_unpenalized(data, cfg))])
     assert workloads.fit_problems(res) == []
+
+
+def test_ci_runs_tier1():
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
+    runs = [step.get("run", "") for step in steps]
+    roadmap = (ROOT / "ROADMAP.md").read_text(encoding="utf-8")
+    tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
+    assert tier1 in runs
+    assert "python3 perfbench/selftest.py" in runs
+    job_env = [job.get("env", {}) for job in workflow["jobs"].values()]
+    assert all(env.get("OPENBLAS_NUM_THREADS") == "1" for env in job_env)
+    install = next(r for r in runs if "pip install" in r)
+    assert "numpy==2.4.6" in install and "scipy==1.17.1" in install
