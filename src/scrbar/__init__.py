@@ -16,10 +16,7 @@ cli          CSV front end and replication harness
 from .baselines import (
     BernsteinBaselineSet,
     WeibullBaselineSet,
-    bernstein_basis,
-    bernstein_log_hazard,
     cumulative_hazard,
-    weibull_hazard,
     weibull_inverse_cumhaz,
 )
 from .domain import (
@@ -38,8 +35,6 @@ from .likelihood import (
     PseudoData,
     RiskTerms,
     frailty_integral_oracle,
-    gradient_beta,
-    hessian_beta,
     log_likelihood,
     pseudo_data,
     risk_terms,

@@ -10,8 +10,8 @@ Gauss-Legendre quadrature (the integrand exp(polynomial) is smooth).
 Each baseline set evaluates itself: ``log_hazard(t, j)`` and
 ``log_cumhaz(t, j)`` are methods of ``WeibullBaselineSet`` and
 ``BernsteinBaselineSet``, so a spec's class decides its kind.  The free
-functions ``cumulative_hazard``, ``log_cumulative_hazard`` and
-``bernstein_log_hazard`` are entry points to those methods.
+functions ``cumulative_hazard`` and ``log_cumulative_hazard`` are entry
+points to ``log_cumhaz``.
 
 The quadrature table ``_BernsteinTable`` evaluates each distinct time once
 and gathers the answers back to the times asked for.  It is node-major: its
@@ -37,10 +37,7 @@ import numpy as np
 __all__ = [
     "WeibullBaselineSet",
     "BernsteinBaselineSet",
-    "bernstein_basis",
     "bernstein_basis_matrix",
-    "bernstein_log_hazard",
-    "weibull_hazard",
     "weibull_inverse_cumhaz",
     "cumulative_hazard",
     "log_cumulative_hazard",
@@ -153,48 +150,12 @@ def _rescale(t, c, u):
     return np.clip((t - c) / span, 0.0, 1.0)
 
 
-def bernstein_basis(t, k: int, m: int, c: float, u: float):
-    """Bernstein basis polynomial C(m,k) s^k (1-s)^(m-k), s = (t-c)/(u-c).
-
-    Accepts scalar or array ``t`` in [c, u]; requires 0 <= k <= m.
-    """
-    if not 0 <= k <= m:
-        raise ValueError(f"basis index k={k} outside 0..{m}")
-    s = _rescale(t, c, u)
-    # 0**0 = 1 at the endpoints by convention
-    with np.errstate(invalid="ignore"):
-        val = comb(m, k) * s**k * (1.0 - s) ** (m - k)
-    return val if np.ndim(val) else float(val)
-
-
 def bernstein_basis_matrix(t, m: int, c: float, u: float) -> np.ndarray:
     """All m+1 basis values at each t: shape (len(t), m+1)."""
     s = np.atleast_1d(_rescale(t, c, u))
     ks = np.arange(m + 1)
     combs = np.array([comb(m, k) for k in ks], dtype=float)
     return combs * s[:, None] ** ks * (1.0 - s[:, None]) ** (m - ks)
-
-
-def bernstein_log_hazard(t, b: BernsteinBaselineSet, j: int):
-    """Log baseline hazard of transition j (1-based) at t."""
-    out = b.log_hazard(t, j)
-    return out if np.ndim(t) else float(out[0])
-
-
-def weibull_hazard(t, alpha: float, tau: float):
-    """Weibull baseline hazard alpha * tau * t**(alpha-1); t > 0.
-
-    t = 0 is allowed only for alpha >= 1 (the hazard is singular at the
-    origin when alpha < 1).
-    """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("negative time in weibull_hazard")
-    if alpha < 1 and np.any(t == 0):
-        raise ValueError("hazard singular at t=0 for alpha < 1")
-    with np.errstate(divide="ignore"):
-        val = alpha * tau * t ** (alpha - 1.0)
-    return val if val.ndim else float(val)
 
 
 def weibull_inverse_cumhaz(x, alpha: float, tau: float):

@@ -95,9 +95,11 @@ def _block_names(header):
 def read_dataset_csv(path):
     """Load a dataset; returns (Dataset, per-transition column names).
 
-    Schema violations raise SchemaError naming the row and column.
+    Schema violations raise SchemaError naming the row and column.  A
+    leading UTF-8 byte-order mark, as spreadsheet programs write it, is
+    skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -583,6 +585,8 @@ def cmd_select(args) -> int:
     """Penalized selection with GCV-tuned lambda (or an oracle refit)."""
     if args.method == "oracle" and not args.oracle_support:
         raise SchemaError("method 'oracle' requires --oracle-support")
+    if args.method != "oracle" and args.oracle_support is not None:
+        raise SchemaError("--oracle-support requires --method oracle")
     data, names = _read(args)
     keeps = (_parse_oracle_support(args.oracle_support, data.dims)
              if args.method == "oracle" else None)

@@ -304,10 +304,10 @@ def calibrate_censoring(scenario: SimulationScenario, target: float,
 
 
 def calibrate_truncation(scenario: SimulationScenario, rng: np.random.Generator,
-                         fraction: float = 0.2, n_probe: int = 5000) -> float:
+                         fraction: float = 0.2) -> float:
     """Default truncation bound: ``fraction`` times the median first
     observed time in an untruncated probe sample."""
-    probe = replace(scenario, n=n_probe, trunc_upper=0.0)
+    probe = replace(scenario, n=_CALIBRATION_PROBE_N, trunc_upper=0.0)
     data = simulate_dataset(probe, rng=rng)
     med = float(np.median(data.y1))
     return fraction * med

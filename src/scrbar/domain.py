@@ -215,13 +215,13 @@ def classify_scenario(rec: SubjectRecord) -> ObservationScenario:
             else ObservationScenario.NONE_OBSERVED)
 
 
-def validate_dataset(data: Dataset, include_warnings: bool = False) -> list:
+def validate_dataset(data: Dataset) -> list:
     """Check every subject against the structural invariants.
 
     Returns a list of human-readable violation strings, empty iff the
-    dataset is well formed.  Never raises.  With ``include_warnings``,
-    additionally flags zero-sojourn records (delta1 = 1, y1 = y2), which
-    are legal but contribute a degenerate likelihood term when delta2 = 1.
+    dataset is well formed.  Never raises.  A zero sojourn (delta1 = 1,
+    y1 = y2) is legal when the terminal event is censored, and a violation
+    when it is observed: the hazard of the sojourn would be read at 0.
     """
     l, y1, y2, d1, d2 = data.l, data.y1, data.y2, data.delta1, data.delta2
     finite = np.isfinite(l) & np.isfinite(y1) & np.isfinite(y2)
@@ -232,11 +232,10 @@ def validate_dataset(data: Dataset, include_warnings: bool = False) -> list:
         ("non-binary indicator", ~(np.isin(d1, (0.0, 1.0)) & np.isin(d2, (0.0, 1.0)))),
         ("δ1=0 requires y1=y2", (d1 == 0) & (y1 != y2)),
         ("δ1=1 requires y1 ≤ y2", (d1 == 1) & (y1 > y2)),
+        ("δ1=δ2=1 requires y1 < y2", (d1 == 1) & (d2 == 1) & (y1 == y2)),
         ("non-finite covariate",
          ~np.isfinite(np.hstack([data.Z1, data.Z2, data.Z3])).all(axis=1)),
     ]
-    if include_warnings:
-        checks.append(("warning: zero sojourn (δ1=1, y1=y2)", (d1 == 1) & (y1 == y2)))
     findings = []
     for i in np.flatnonzero(~finite | np.any([mask for _, mask in checks], axis=0)):
         findings += ([f"{what} at index {i}" for what, mask in checks if mask[i]]

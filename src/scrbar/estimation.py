@@ -267,8 +267,7 @@ class _Objective:
                                         baseline=self.base.spec(theta[p + 1:])))
 
 
-def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
-                    theta0=None) -> FitResult:
+def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
     """Maximize the marginal log-likelihood over all model parameters.
 
     Positivity of the frailty variance and Weibull parameters is handled by
@@ -281,10 +280,9 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig(),
     if len(data) <= obj.n_params:
         raise ValueError(
             f"need n > parameter count ({len(data)} <= {obj.n_params})")
-    x0 = obj.initial_point() if theta0 is None else np.asarray(theta0, dtype=float)
     bounds = obj.bounds()
     res = scipy.optimize.minimize(
-        obj.value_and_grad, x0, jac=True, method="L-BFGS-B",
+        obj.value_and_grad, obj.initial_point(), jac=True, method="L-BFGS-B",
         bounds=bounds,
         options={"maxiter": 600, "ftol": 1e-12,
                  "gtol": _GTOL / 10.0, "maxls": 60, "maxcor": 20})
@@ -325,7 +323,6 @@ def bic_degree_select(data: Dataset, candidates, cfg: FitConfig = FitConfig()):
             row["loglik"] = fr.loglik
             row["converged"] = fr.converged
             row["bic"] = -2.0 * fr.loglik + np.log(n) * ((p + 1) + sum(m + 1 for m in degs))
-            row["fit"] = fr
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             row["error"] = str(exc)
         table.append(row)

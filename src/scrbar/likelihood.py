@@ -48,8 +48,6 @@ __all__ = [
     "BetaLikelihood",
     "risk_terms",
     "log_likelihood",
-    "gradient_beta",
-    "hessian_beta",
     "frailty_integral_oracle",
     "pseudo_data",
 ]
@@ -350,20 +348,6 @@ def log_likelihood(params: ModelParameters, data: Dataset, quad=None,
         raise ValueError(f"unknown truncation convention {truncation!r}")
     ev = BetaLikelihood(data, params.nuisance)
     return ev.loglik(params.beta.stacked)
-
-
-def gradient_beta(params: ModelParameters, data: Dataset) -> np.ndarray:
-    """Gradient of the log-likelihood in the stacked coefficient vector,
-    nuisance parameters held fixed."""
-    ev = BetaLikelihood(data, params.nuisance)
-    return ev.gradient(params.beta.stacked)
-
-
-def hessian_beta(params: ModelParameters, data: Dataset) -> np.ndarray:
-    """Hessian of the log-likelihood in the stacked coefficient vector
-    (exactly symmetric)."""
-    ev = BetaLikelihood(data, params.nuisance)
-    return ev.hessian(params.beta.stacked)
 
 
 def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,

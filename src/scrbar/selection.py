@@ -188,14 +188,6 @@ def _sweeps(G, c, b, thr, sweeps, tol):
             return
 
 
-def _coordinate_descent(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """Cyclic soft-threshold minimization of 0.5 b'Gb - c'b + lam sum w|b|."""
-    b = np.asarray(b0, dtype=float).tolist()
-    for _ in _sweeps(G, c, b, lam * np.asarray(weights, dtype=float), sweeps, tol):
-        pass
-    return np.array(b)
-
-
 def _signed_support_solution(G, c, s, thr):
     """The minimizer of 0.5 b'Gb - c'b + sum thr|b| if its signs are ``s``,
     else None.
@@ -218,13 +210,14 @@ def _signed_support_solution(G, c, s, thr):
 
 
 def _l1_step(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """``_coordinate_descent``, finished exactly on its signed support, and
-    whether it finished: False when it stopped at the sweep cap.
+    """Cyclic soft-threshold minimization of 0.5 b'Gb - c'b + lam sum w|b|,
+    finished exactly on its signed support, and whether it finished: False
+    when it stopped at the sweep cap.
 
     After a sweep that changes no sign, the minimizer with those signs is
     solved for (``_signed_support_solution``), at most once per distinct
     signed support, and returned when it satisfies the KKT conditions.
-    Otherwise the sweeps go on, and the answer is ``_coordinate_descent``'s
+    Otherwise the sweeps go on, and the answer is plain coordinate descent's
     bit for bit.
     """
     thr = lam * np.asarray(weights, dtype=float)

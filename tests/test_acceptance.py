@@ -13,7 +13,6 @@ import pytest
 from scrbar import (
     FitConfig,
     PenaltyConfig,
-    bernstein_basis,
     cumulative_hazard,
     fit_unpenalized,
     frailty_integral_oracle,
@@ -21,7 +20,7 @@ from scrbar import (
     pseudo_data,
     simulate_dataset,
 )
-from scrbar.baselines import BernsteinBaselineSet
+from scrbar.baselines import BernsteinBaselineSet, bernstein_basis_matrix
 from scrbar.cli import ExperimentConfig, resolve_scenario, run_study
 from scrbar.datagen import calibrate_censoring, scenario_diverging_p
 from scrbar.likelihood import BetaLikelihood
@@ -133,11 +132,10 @@ def test_criterion_3_bernstein_properties():
         rng = np.random.default_rng(103)
         t = rng.uniform(0.0, 10.0, 1000)
         for m in range(11):
-            total = sum(bernstein_basis(t, k, m, 0.0, 10.0) for k in range(m + 1))
+            total = bernstein_basis_matrix(t, m, 0.0, 10.0).sum(axis=1)
             assert np.max(np.abs(total - 1.0)) < 1e-12
-        assert bernstein_basis(0.0, 0, 3, 0.0, 1.0) == 1.0
-        assert all(bernstein_basis(0.0, k, 3, 0.0, 1.0) == 0.0 for k in (1, 2, 3))
-        assert bernstein_basis(1.0, 3, 3, 0.0, 1.0) == 1.0
+        assert bernstein_basis_matrix(0.0, 3, 0.0, 1.0)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert bernstein_basis_matrix(1.0, 3, 0.0, 1.0)[0, 3] == 1.0
         b = BernsteinBaselineSet((4, 4, 4), [rng.normal(0, 1.5, 5) for _ in range(3)],
                                  [(0.0, 8.0)] * 3)
         tt = np.array([0.4, 2.9, 7.7])

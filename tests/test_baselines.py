@@ -8,14 +8,12 @@ from hypothesis.extra.numpy import arrays
 from scrbar import (
     BernsteinBaselineSet,
     WeibullBaselineSet,
-    bernstein_basis,
-    bernstein_log_hazard,
     cumulative_hazard,
-    weibull_hazard,
     weibull_inverse_cumhaz,
 )
 from scrbar.baselines import (
     _BernsteinTable,
+    bernstein_basis_matrix,
     _col_logsumexp,
     _col_shift,
     _col_softmax,
@@ -33,27 +31,23 @@ def flat_bernstein(value=0.0, degrees=(2, 2, 3), u=10.0):
 class TestBernsteinBasis:
     def test_degree_zero_is_constant_one(self):
         for t in (0.0, 0.3, 1.0):
-            assert bernstein_basis(t, 0, 0, 0.0, 1.0) == 1.0
+            assert bernstein_basis_matrix(t, 0, 0.0, 1.0)[0, 0] == 1.0
 
     def test_endpoint_degeneracy_exact(self):
-        assert bernstein_basis(0.0, 0, 3, 0.0, 1.0) == 1.0
-        for k in (1, 2, 3):
-            assert bernstein_basis(0.0, k, 3, 0.0, 1.0) == 0.0
-        assert bernstein_basis(1.0, 3, 3, 0.0, 1.0) == 1.0
+        assert bernstein_basis_matrix(0.0, 3, 0.0, 1.0)[0].tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert bernstein_basis_matrix(1.0, 3, 0.0, 1.0)[0, 3] == 1.0
 
     def test_direct_binomial_value(self):
         # C(2,1) * 0.5 * 0.5
-        assert bernstein_basis(0.5, 1, 2, 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+        assert bernstein_basis_matrix(0.5, 2, 0.0, 1.0)[0, 1] == pytest.approx(0.5, abs=1e-15)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            bernstein_basis(1.5, 0, 2, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            bernstein_basis(0.5, 3, 2, 0.0, 1.0)
+            bernstein_basis_matrix(1.5, 2, 0.0, 1.0)
 
     def test_clamps_float_noise_above_support(self):
         u = 3.0
-        v = bernstein_basis(u * (1 + 1e-10), 2, 2, 0.0, u)
+        v = bernstein_basis_matrix(u * (1 + 1e-10), 2, 0.0, u)[0, 2]
         assert v == pytest.approx(1.0)
 
     @given(st.integers(0, 10), st.floats(0.0, 1.0, allow_nan=False))
@@ -61,14 +55,14 @@ class TestBernsteinBasis:
     def test_partition_of_unity(self, m, s):
         c, u = 1.0, 4.0
         t = c + s * (u - c)
-        total = sum(bernstein_basis(t, k, m, c, u) for k in range(m + 1))
+        total = bernstein_basis_matrix(t, m, c, u).sum()
         assert abs(total - 1.0) < 1e-12
 
     def test_partition_of_unity_dense(self):
         rng = np.random.default_rng(0)
         t = rng.uniform(0.0, 10.0, 1000)
         for m in (1, 3, 7, 10):
-            total = sum(bernstein_basis(t, k, m, 0.0, 10.0) for k in range(m + 1))
+            total = bernstein_basis_matrix(t, m, 0.0, 10.0).sum(axis=1)
             assert np.max(np.abs(total - 1.0)) < 1e-12
 
 
@@ -76,36 +70,40 @@ class TestBernsteinHazard:
     def test_zero_coefficients_give_unit_hazard(self):
         b = flat_bernstein(0.0)
         for t in (0.0, 2.5, 10.0):
-            assert bernstein_log_hazard(t, b, 1) == pytest.approx(0.0, abs=1e-14)
+            assert b.log_hazard(t, 1)[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_constant_shift(self):
         b = flat_bernstein(-1.7)
-        assert bernstein_log_hazard(4.2, b, 3) == pytest.approx(-1.7, abs=1e-12)
+        assert b.log_hazard(4.2, 3)[0] == pytest.approx(-1.7, abs=1e-12)
 
     def test_midpoint_single_bump(self):
         b = BernsteinBaselineSet((2, 2, 2),
                                  [np.array([0.0, 1.0, 0.0])] * 3,
                                  [(0.0, 1.0)] * 3)
-        assert bernstein_log_hazard(0.5, b, 2) == pytest.approx(0.5, abs=1e-14)
+        assert b.log_hazard(0.5, 2)[0] == pytest.approx(0.5, abs=1e-14)
+
+
+def weibull(alpha, tau):
+    """The same Weibull hazard alpha * tau * t**(alpha - 1) on every transition."""
+    return WeibullBaselineSet(np.log([alpha] * 3), np.log([tau] * 3))
 
 
 class TestWeibull:
     def test_exponential_special_case(self):
-        assert weibull_hazard(1.0, 1.0, 2.0) == 2.0
+        assert np.exp(weibull(1.0, 2.0).log_hazard(1.0, 1)) == 2.0
 
     def test_scenario_one_parameters(self):
         alpha, tau = np.exp(0.18), np.exp(-4.0)
-        assert weibull_hazard(1.0, alpha, tau) == pytest.approx(alpha * tau)
+        assert np.exp(weibull(alpha, tau).log_hazard(1.0, 1)) == pytest.approx(alpha * tau)
 
     def test_direct_formula(self):
-        assert weibull_hazard(4.0, 2.0, 1.0) == pytest.approx(8.0)
+        assert np.exp(weibull(2.0, 1.0).log_hazard(4.0, 1)) == pytest.approx(8.0)
 
     def test_singularity_and_domain(self):
+        with np.errstate(divide="ignore"):
+            assert np.exp(weibull(2.0, 1.0).log_hazard(0.0, 1)) == 0.0
         with pytest.raises(ValueError):
-            weibull_hazard(0.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            weibull_hazard(-1.0, 2.0, 1.0)
-        assert weibull_hazard(0.0, 2.0, 1.0) == 0.0
+            cumulative_hazard(-1.0, weibull(2.0, 1.0), 1)
 
     def test_inverse_values(self):
         assert weibull_inverse_cumhaz(0.0, 2.0, 3.0) == 0.0

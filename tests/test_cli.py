@@ -50,6 +50,18 @@ class TestCsvIo:
         assert names[0] == ["z1_1", "z1_2"]
         np.testing.assert_array_equal(back.records[3].z3, data.records[3].z3)
 
+    def test_byte_order_mark_reads_the_same(self, toy_csv, tmp_path):
+        # as spreadsheet programs save "CSV UTF-8"
+        path, _ = toy_csv
+        marked = tmp_path / "marked.csv"
+        with open(path, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        back, names = read_dataset_csv(str(marked))
+        plain, plain_names = read_dataset_csv(path)
+        assert names == plain_names
+        for key, col in plain.arrays().items():
+            np.testing.assert_array_equal(back.arrays()[key], col)
+
     def test_missing_column_named(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("l,y1,delta1,y2\n0,1,1,2\n")
@@ -94,7 +106,8 @@ def valid_datasets(draw, shared, truncated):
         l = draw(st.floats(0.0, 1e6)) if truncated else 0.0
         y1 = draw(st.floats(min_value=l, max_value=2e6, exclude_min=True))
         d1, d2 = draw(st.integers(0, 1)), draw(st.integers(0, 1))
-        y2 = draw(st.floats(min_value=y1, max_value=3e6)) if d1 else y1
+        # a zero sojourn is valid only with the terminal event censored
+        y2 = draw(st.floats(min_value=y1, max_value=3e6, exclude_min=bool(d2))) if d1 else y1
         rows.append((l, y1, d1, y2, d2))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     Z = [draw(arrays(float, (n, d), elements=finite)) for d in dims]
@@ -233,15 +246,22 @@ class TestSelectCommand:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
 
-    @pytest.mark.parametrize("support, message", [
-        (None, "requires --oracle-support"), ("1,2;1,99;1", "block 2 out of range")])
+    @pytest.mark.parametrize("method, support, message", [
+        ("oracle", None, "requires --oracle-support"),
+        ("oracle", "1,2;1,99;1", "block 2 out of range"),
+        ("lasso", "1,2", "--oracle-support requires --method oracle")],
+        ids=["None-requires --oracle-support", "1,2;1,99;1-block 2 out of range",
+             "lasso-1,2"])
     def test_oracle_support_checked_before_fitting(self, sim_csv, tmp_path, monkeypatch,
-                                                   capsys, support, message):
+                                                   capsys, method, support, message):
         import scrbar.cli as cli_mod
         monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
         monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
+        if method != "oracle" or support is None:
+            # a usage error is refused before the CSV is read
+            monkeypatch.setattr(cli_mod, "read_dataset_csv", _must_not_run)
         path, _, _ = sim_csv
-        argv = ["select", path, "--method", "oracle", "--baseline", "bernstein",
+        argv = ["select", path, "--method", method, "--baseline", "bernstein",
                 "--degrees", "bic", "--out", str(tmp_path / "x")]
         if support is not None:
             argv += ["--oracle-support", support]
@@ -591,6 +611,21 @@ class TestExitCodes:
         path = tmp_path / "tiny.csv"
         write_dataset_csv(path, data)
         assert main(["fit", str(path)]) == 2
+
+    def test_zero_sojourn_with_both_events_is_a_schema_error(self, tmp_path, monkeypatch,
+                                                              capsys):
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+        path = tmp_path / "zero_sojourn.csv"
+        write_dataset_csv(path, small_dataset(n=30, d=3, seed=70))
+        lines = path.read_text().splitlines()
+        cells = lines[4].split(",")         # the record at index 3
+        cells[:5] = ["0", "0.5", "1", "0.5", "1"]
+        lines[4] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["select", str(path), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert "δ1=δ2=1 requires y1 < y2 at index 3" in capsys.readouterr().err
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "scrbar.cli", "--help"],

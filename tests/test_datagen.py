@@ -318,8 +318,8 @@ class TestCensoringCalibration:
     def test_truncation_default_is_fifth_of_median(self):
         scen = scenario_diverging_p(200, censor_upper=32.0, seed=22)
         rng = np.random.default_rng(22)
-        lmax = calibrate_truncation(scen, rng, fraction=0.2, n_probe=2000)
-        data = simulate_dataset(replace(scen, n=2000),
+        lmax = calibrate_truncation(scen, rng, fraction=0.2)
+        data = simulate_dataset(replace(scen, n=5000),
                                 rng=np.random.default_rng(22))
         med = np.median([r.y1 for r in data.records])
         assert lmax == pytest.approx(0.2 * med, rel=0.15)

@@ -49,18 +49,17 @@ class TestValidate:
         assert any("non-finite covariate" in f
                    for f in validate_dataset(Dataset([bad])))
 
-    def test_zero_sojourn_is_warning_not_violation(self):
-        data = Dataset([rec(y1=2.0, y2=2.0, d1=1, d2=0)])
-        assert validate_dataset(data) == []
-        flagged = validate_dataset(data, include_warnings=True)
-        assert any(f.startswith("warning") for f in flagged)
+    def test_zero_sojourn_is_legal_only_when_censored(self):
+        assert validate_dataset(Dataset([rec(y1=2.0, y2=2.0, d1=1, d2=0)])) == []
+        data = Dataset([rec(), rec(y1=2.0, y2=2.0, d1=1, d2=1)])
+        assert validate_dataset(data) == ["δ1=δ2=1 requires y1 < y2 at index 1"]
 
     def test_never_raises(self):
         data = Dataset([rec(l=-1.0, y1=np.inf, d1=2, y2=-3.0, d2=0)])
         assert validate_dataset(data)  # findings, no exception
 
 
-def _validate_by_loop(data, include_warnings):
+def _validate_by_loop(data):
     """Record-by-record statement of the invariants ``validate_dataset`` checks."""
     findings = []
     for i, r in enumerate(data.records):
@@ -77,10 +76,10 @@ def _validate_by_loop(data, include_warnings):
             findings.append(f"δ1=0 requires y1=y2 at index {i}")
         if r.delta1 == 1 and r.y1 > r.y2:
             findings.append(f"δ1=1 requires y1 ≤ y2 at index {i}")
+        if r.delta1 == 1 and r.delta2 == 1 and r.y1 == r.y2:
+            findings.append(f"δ1=δ2=1 requires y1 < y2 at index {i}")
         if not all(np.isfinite(z).all() for z in (r.z1, r.z2, r.z3)):
             findings.append(f"non-finite covariate at index {i}")
-        if include_warnings and r.delta1 == 1 and r.y1 == r.y2:
-            findings.append(f"warning: zero sojourn (δ1=1, y1=y2) at index {i}")
     return findings
 
 
@@ -97,8 +96,7 @@ class TestValidateColumns:
         Z = [draw.draw(st.lists(st.lists(cov, min_size=d, max_size=d), min_size=n, max_size=n))
              for d in (1, 2, 1)]
         data = Dataset.from_arrays(*cols, *Z)
-        for warn in (False, True):
-            assert validate_dataset(data, warn) == _validate_by_loop(data, warn)
+        assert validate_dataset(data) == _validate_by_loop(data)
 
 
 class TestClassify:

@@ -156,7 +156,7 @@ class TestFitUnpenalized:
             lgs.append(np.log(fr.params.nuisance.gamma))
         assert -2.5 < np.median(lgs) < -0.9
 
-    def test_refit_from_optimum_stops_immediately(self):
+    def test_refit_from_optimum_stops_immediately(self, monkeypatch):
         data = small_dataset(n=100, d=3, seed=55)
         cfg = FitConfig(baseline="weibull")
         fr = fit_unpenalized(data, cfg)
@@ -166,7 +166,8 @@ class TestFitUnpenalized:
             [np.log(fr.params.nuisance.gamma)],
             np.column_stack([fr.params.nuisance.baseline.log_alpha,
                              fr.params.nuisance.baseline.log_tau]).ravel()])
-        fr2 = fit_unpenalized(data, cfg, theta0=theta)
+        monkeypatch.setattr(_Objective, "initial_point", lambda self: theta)
+        fr2 = fit_unpenalized(data, cfg)
         assert fr2.n_iter <= 2
         assert fr2.loglik == pytest.approx(fr.loglik, abs=1e-6)
 
@@ -230,7 +231,7 @@ class TestBicDegreeSelect:
     def test_tie_breaks_toward_smaller_total_degree(self, monkeypatch):
         import scrbar.estimation as est
 
-        def fake_fit(data, cfg, theta0=None):
+        def fake_fit(data, cfg):
             class R:
                 loglik = -100.0
                 converged = True
@@ -247,10 +248,10 @@ class TestBicDegreeSelect:
         import scrbar.estimation as est
         real = est.fit_unpenalized
 
-        def flaky(data, cfg, theta0=None):
+        def flaky(data, cfg):
             if sum(cfg.degrees) > 8:
                 raise np.linalg.LinAlgError("boom")
-            return real(data, cfg, theta0)
+            return real(data, cfg)
 
         monkeypatch.setattr(est, "fit_unpenalized", flaky)
         data = small_dataset(n=60, d=3, seed=60)

@@ -11,8 +11,6 @@ from scrbar import (
     SubjectRecord,
     classify_scenario,
     frailty_integral_oracle,
-    gradient_beta,
-    hessian_beta,
     log_likelihood,
     pseudo_data,
     risk_terms,
@@ -154,16 +152,18 @@ class TestDerivatives:
                 SubjectRecord(0.0, 2.0, 0, 2.0, 0, np.zeros(3), np.zeros(3), np.zeros(3))]
         data = Dataset(recs)
         params = random_params(data, np.random.default_rng(1))
-        np.testing.assert_array_equal(gradient_beta(params, data), np.zeros(9))
-        np.testing.assert_array_equal(hessian_beta(params, data), np.zeros((9, 9)))
+        ev = BetaLikelihood(data, params.nuisance)
+        np.testing.assert_array_equal(ev.gradient(params.beta.stacked), np.zeros(9))
+        np.testing.assert_array_equal(ev.hessian(params.beta.stacked), np.zeros((9, 9)))
 
     def test_duplicated_dataset_doubles_gradient(self):
         data = small_dataset(n=10, seed=6)
         params = random_params(data, np.random.default_rng(7))
-        g1 = gradient_beta(params, data)
+        b = params.beta.stacked
+        g1 = BetaLikelihood(data, params.nuisance).gradient(b)
         doubled = Dataset(list(data.records) * 2)
-        np.testing.assert_allclose(gradient_beta(params, doubled), 2.0 * g1,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(BetaLikelihood(doubled, params.nuisance).gradient(b),
+                                   2.0 * g1, rtol=1e-12)
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     def test_gradient_matches_central_differences(self, baseline):
@@ -203,7 +203,7 @@ class TestDerivatives:
     def test_hessian_exactly_symmetric(self):
         data = small_dataset(n=15, seed=12)
         params = random_params(data, np.random.default_rng(19))
-        H = hessian_beta(params, data)
+        H = BetaLikelihood(data, params.nuisance).hessian(params.beta.stacked)
         assert np.max(np.abs(H - H.T)) == 0.0
 
 
@@ -352,9 +352,11 @@ class TestRowOrder:
             "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
         assert log_likelihood(params, shuffled) == pytest.approx(
             log_likelihood(params, data), rel=1e-12)
-        for f in (gradient_beta, hessian_beta):
-            want = f(params, data)
-            np.testing.assert_allclose(f(params, shuffled), want,
+        b = params.beta.stacked
+        ev, ev_shuffled = (BetaLikelihood(d, params.nuisance) for d in (data, shuffled))
+        for name in ("gradient", "hessian"):
+            want = getattr(ev, name)(b)
+            np.testing.assert_allclose(getattr(ev_shuffled, name)(b), want,
                                        rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 

@@ -23,10 +23,13 @@ def test_readme_quick_start_runs(capsys):
     assert len(lines) == 2
 
 
-# the two demos that call frailty_integral_oracle and cumulative_hazard; they
-# run in seconds, while the slower demos 05 and 06 stay out of the suite
-@pytest.mark.parametrize("demo", ["02_likelihood_machinery.py",
-                                  "03_fitting_and_degrees.py"])
+# every demo but the replication study 05 runs in seconds, so a public name
+# that a demo uses cannot go away unnoticed
+@pytest.mark.parametrize("demo", ["01_simulate_and_validate.py",
+                                  "02_likelihood_machinery.py",
+                                  "03_fitting_and_degrees.py",
+                                  "04_bar_selection.py",
+                                  "06_csv_and_cli.py"])
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
                           env=_child_env(), capture_output=True, text=True)

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from scrbar import (
 from scrbar.estimation import FitConfig
 from scrbar.likelihood import BetaLikelihood, PseudoData, pseudo_data
 import scrbar.selection as selection_mod
-from scrbar.selection import _coordinate_descent, _l1_step, l1_kkt_residual
+from scrbar.selection import _l1_step, l1_kkt_residual
 from _helpers import small_dataset, small_scenario
 from scrbar.datagen import simulate_dataset
 
@@ -251,8 +252,7 @@ class TestL1:
     def test_orthonormal_scalar_soft_threshold(self):
         G = np.array([[1.0]])
         for w, lam in [(0.9, 0.3), (-0.7, 0.2), (0.2, 0.5)]:
-            b = _coordinate_descent(G, np.array([w]), np.array([0.0]), lam,
-                                    np.array([1.0]))
+            b, _ = _l1_step(G, np.array([w]), np.array([0.0]), lam, np.array([1.0]))
             expected = np.sign(w) * max(abs(w) - lam, 0.0)
             assert b[0] == pytest.approx(expected, abs=1e-12)
 
@@ -331,7 +331,10 @@ class TestCoordinateDescentReference:
                    if capped else np.ones(p))
         lam_max = 2.0 * max(float(np.max(np.abs(c), initial=0.0)), 1e-8)
         lam = float(np.exp(np.log(1e-8) + t * np.log(lam_max / 1e-8)))
-        got = _coordinate_descent(G, c, b0, lam, weights, sweeps=sweeps)
+        # without the exact finish, the step is plain coordinate descent
+        with mock.patch.object(selection_mod, "_signed_support_solution",
+                               lambda *args: None):
+            got, _ = _l1_step(G, c, b0, lam, weights, sweeps=sweeps)
         want = _reference_coordinate_descent(G, c, b0, lam, weights, sweeps=sweeps)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
@@ -365,7 +368,7 @@ class TestExactFinish:
     def test_same_signed_support_at_the_exact_minimizer(self, seed, p, t, capped):
         G, c, b0, lam, weights = _well_conditioned_l1_problem(seed, p, t, capped)
         got, _ = _l1_step(G, c, b0, lam, weights)
-        want = _coordinate_descent(G, c, b0, lam, weights)
+        want = _reference_coordinate_descent(G, c, b0, lam, weights)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(np.sign(got), np.sign(want))
         scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
@@ -388,7 +391,7 @@ class TestExactFinish:
 
         monkeypatch.setattr(selection_mod, "_signed_support_solution", recording)
         got, _ = _l1_step(G, c, b0, 1e-3, weights)
-        want = _coordinate_descent(G, c, b0, 1e-3, weights)
+        want = _reference_coordinate_descent(G, c, b0, 1e-3, weights)
         assert tries == [None]
         assert np.all(got > 0.0) and got.tobytes() == want.tobytes()
 
@@ -570,7 +573,7 @@ def _reference_l1_iterate(ev, beta_init, lam, cfg, weights):
         jitter = max(jitter, pseudo.jitter)
         G = pseudo.X.T @ pseudo.X
         c = pseudo.X.T @ pseudo.W
-        beta_new = _coordinate_descent(G, c, beta, lam, weights)
+        beta_new = _reference_coordinate_descent(G, c, beta, lam, weights)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         if delta < cfg.tol:
