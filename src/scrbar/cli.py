@@ -499,28 +499,34 @@ def _hazard_curves(scenario, reference: FitResult):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _fit_config_from_args(args, data) -> FitConfig:
-    """The fit policy the flags ask for.  ``--degrees`` needs a Bernstein
-    baseline; with ``--degrees bic`` the degrees are chosen by BIC and
-    ``bic_table.csv`` is written to the output directory."""
+def _fit_config_from_args(args) -> FitConfig:
+    """The fit policy the flags ask for, from the flags alone, so that a bad
+    ``--degrees`` is refused before the CSV is read or the output directory
+    made.  ``--degrees`` needs a Bernstein baseline; ``--degrees bic`` keeps
+    the default degrees, which ``_bic_degrees`` replaces once the data are
+    read."""
     cfg = FitConfig(baseline=args.baseline)
     if args.degrees is not None and args.baseline != "bernstein":
         raise SchemaError(f"--degrees {args.degrees} requires --baseline bernstein")
-    if args.degrees == "bic":
-        cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
-        best, table = bic_degree_select(data, cand, cfg)
-        rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],
-                 r["converged"], "argmin" if r["degrees"] == best else "")
-                for r in table]
-        _write_rows_csv(os.path.join(args.out, "bic_table.csv"),
-                        ["degrees", "loglik", "bic", "converged", "mark"], rows)
-        return replace(cfg, degrees=best)
-    if args.degrees is not None:
+    if args.degrees not in (None, "bic"):
         try:
             cfg = replace(cfg, degrees=tuple(int(x) for x in args.degrees.split(",")))
         except ValueError as exc:
             raise SchemaError(f"--degrees expects m1,m2,m3 or 'bic': {exc}") from None
     return cfg
+
+
+def _bic_degrees(args, data, cfg) -> FitConfig:
+    """``cfg`` with the Bernstein degrees chosen by BIC; writes
+    ``bic_table.csv`` to the output directory."""
+    cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
+    best, table = bic_degree_select(data, cand, cfg)
+    rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],
+             r["converged"], "argmin" if r["degrees"] == best else "")
+            for r in table]
+    _write_rows_csv(os.path.join(args.out, "bic_table.csv"),
+                    ["degrees", "loglik", "bic", "converged", "mark"], rows)
+    return replace(cfg, degrees=best)
 
 
 def _read(args):
@@ -535,8 +541,10 @@ def _read(args):
 
 def cmd_fit(args) -> int:
     """Unpenalized fit (optionally BIC-selected Bernstein degrees)."""
+    cfg = _fit_config_from_args(args)
     data, names = _read(args)
-    cfg = _fit_config_from_args(args, data)
+    if args.degrees == "bic":
+        cfg = _bic_degrees(args, data, cfg)
     fr = fit_unpenalized(data, cfg)
 
     report = os.path.join(args.out, "fit_report.txt")
@@ -587,10 +595,12 @@ def cmd_select(args) -> int:
         raise SchemaError("method 'oracle' requires --oracle-support")
     if args.method != "oracle" and args.oracle_support is not None:
         raise SchemaError("--oracle-support requires --method oracle")
+    cfg = _fit_config_from_args(args)
     data, names = _read(args)
     keeps = (_parse_oracle_support(args.oracle_support, data.dims)
              if args.method == "oracle" else None)
-    cfg = _fit_config_from_args(args, data)
+    if args.degrees == "bic":
+        cfg = _bic_degrees(args, data, cfg)
     grid = default_lambda_grid(len(data), args.lambda_min, args.lambda_max,
                                args.lambda_count)
     nu = fit_unpenalized(data, cfg)

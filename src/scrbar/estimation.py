@@ -241,9 +241,12 @@ class _Objective:
         p = self.p
         log_t, log_ratio, ev, base_grad = self.base.evaluate(theta[p + 1:])
         lb, ratio = self.core.log_bases(log_t, log_ratio)
-        pt = _Point(self.core, theta[:p], theta[p], lb)
+        pt = _Point(self.core, theta[:p], self.core.frailty(theta[p]), lb)
         w = pt.shrink_weights()
-        g = np.concatenate([self.core.grad_beta(w), [pt.dlog_gamma()], base_grad(w, ratio)])
+        # the baseline gradients take products with columns of the (n, 3)
+        # C-ordered weights, which round by that layout
+        g = np.concatenate([self.core.grad_beta(w), [pt.dlog_gamma()],
+                            base_grad(np.ascontiguousarray(w.T), ratio)])
         return -pt.loglik(ev), -g
 
     def initial_point(self):
@@ -286,8 +289,9 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
         bounds=bounds,
         options={"maxiter": 600, "ftol": 1e-12,
                  "gtol": _GTOL / 10.0, "maxls": 60, "maxcor": 20})
-    _, grad = obj.value_and_grad(res.x)
-    # projected gradient: components pushing against an active bound don't count
+    # projected gradient: components pushing against an active bound don't
+    # count; res.jac is the objective's gradient at res.x, as returned there
+    grad = res.jac
     lo, hi = np.array(bounds).T
     at_lo, at_hi = res.x <= lo + 1e-12, res.x >= hi - 1e-12
     pg = np.where(at_lo, np.minimum(grad, 0.0), np.where(at_hi, np.maximum(grad, 0.0), grad))

@@ -111,13 +111,17 @@ class _Core:
         arr = data.arrays()
         self.dims, self.p, self.n = data.dims, data.p, len(data)
         self.offs = np.concatenate([[0], np.cumsum(self.dims)])
+        # the coefficients of transition k are beta[slices[k]]
+        self.slices = tuple(slice(a, b) for a, b in zip(self.offs[:-1].tolist(),
+                                                        self.offs[1:].tolist()))
         self.Z = (arr["Z1"], arr["Z2"], arr["Z3"])
         # the concatenated design and the transition of each of its columns
         self.Zcat = np.hstack(self.Z)
         self.transition = np.repeat(np.arange(3), self.dims)
         l, y1, d1, y2, d2 = (arr[k] for k in ("l", "y1", "delta1", "y2", "delta2"))
         self.delta = (d1, d2)
-        self.event_weight = (d1, (1.0 - d1) * d2, d1 * d2)
+        # (3, n): row k weighs the event term of transition k
+        self.event_weight = np.array([d1, (1.0 - d1) * d2, d1 * d2])
         self.n_both = self.event_weight[2].sum()
         self.ev_mask = tuple(w == 1.0 for w in self.event_weight)
         self.sojourn = np.where(d1 == 1.0, y2 - y1, 0.0)
@@ -133,6 +137,13 @@ class _Core:
         self.at_risk12 = y1 - l
         self.entry = l if l.any() else None
         self.interval = (y1, y1, self.sojourn)
+        self._block_key = self._block_index = None
+
+    def frailty(self, log_gamma):
+        """(log gamma, gamma, c) with c = 1/gamma + delta1 + delta2 per
+        record: the frailty constants of a ``_Point``."""
+        gamma = np.exp(log_gamma)
+        return log_gamma, gamma, 1.0 / gamma + self.delta[0] + self.delta[1]
 
     @staticmethod
     def log_bases(log_t, log_ratio):
@@ -172,27 +183,45 @@ class _Core:
         k, loc = self.transition, np.tile(np.arange(d), 3)
         return P, pair[k[:, None], k] * iu.size + tri[loc[:, None], loc]
 
+    def gram_block(self, idx):
+        """``gram``'s index map on the sorted coordinates ``idx``, kept for
+        the last ``idx`` only: BAR's nonzero block changes a few dozen times
+        along a path, not at every refresh."""
+        idx = np.asarray(idx, dtype=np.intp)
+        key = idx.tobytes()
+        if key != self._block_key:
+            self._block_key, self._block_index = key, self.gram[1][idx][:, idx]
+        return self._block_index
+
     def grad_beta(self, w) -> np.ndarray:
-        return np.concatenate([
-            self.Z[k].T @ (self.event_weight[k] - w[:, k]) for k in range(3)
-        ])
+        """The log-likelihood gradient in beta from the shrink weights as
+        (3, n) rows."""
+        r = self.event_weight - w
+        g = np.empty(self.p)
+        for k, sl in enumerate(self.slices):
+            self.Z[k].T.dot(r[k], out=g[sl])
+        return g
 
 
 class _Point:
-    """The closed form at stacked coefficients ``beta`` and log frailty
-    variance ``log_gamma`` over log bases ``lb``; the log-likelihood, shrink
-    weights, beta Hessian and log-gamma derivative are computed on request,
-    the shrink weights, the Gram product and the full Hessian once."""
+    """The closed form at stacked coefficients ``beta`` with the frailty
+    constants ``frailty`` of ``_Core.frailty`` over log bases ``lb`` (three
+    rows); the log-likelihood, shrink weights, beta Hessian and log-gamma
+    derivative are computed on request, the shrink weights, the Gram product
+    and the full Hessian once."""
 
-    def __init__(self, core: _Core, beta, log_gamma, lb):
-        self.core, self.log_gamma = core, log_gamma
+    def __init__(self, core: _Core, beta, frailty, lb):
+        self.core = core
+        self.log_gamma, self.gamma, self.c = frailty
         self._w = self._H = self._DP = None
-        self.lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
-        self.loge = np.array([lb[k] + self.lp[k] for k in range(3)])    # (3, n)
+        self.lp = np.empty((3, core.n))                     # b_k'z_k per record
+        # ndarray.dot makes the BLAS call of ``@`` with less dispatch
+        for k, sl in enumerate(core.slices):
+            core.Z[k].dot(beta[sl], out=self.lp[k])
+        self.loge = np.add(lb, self.lp)                     # (3, n)
         self.logS = _col_logsumexp(self.loge)
-        self.L1 = np.logaddexp(0.0, log_gamma + self.logS)     # log(1 + gamma S)
-        self.gamma = np.exp(log_gamma)
-        self.c = 1.0 / self.gamma + core.delta[0] + core.delta[1]
+        L1 = np.add(self.log_gamma, self.logS)
+        self.L1 = np.logaddexp(0.0, L1, out=L1)             # log(1 + gamma S)
 
     def loglik(self, ev) -> float:
         """Log-likelihood given the per-transition event log-hazard sums."""
@@ -205,11 +234,13 @@ class _Point:
         return value
 
     def shrink_weights(self) -> np.ndarray:
-        """w_k = c gamma e_k / (1 + gamma S), per record and transition (n x 3)."""
+        """w_k = c gamma e_k / (1 + gamma S), per transition and record (3 x n)."""
         if self._w is None:
-            w = self.c * np.exp(self.log_gamma + self.loge - self.L1)
-            # in (n, 3) C order, so products with its columns round as before
-            self._w = np.ascontiguousarray(w.T)
+            w = np.add(self.log_gamma, self.loge)
+            w -= self.L1
+            w = np.exp(w, out=w)
+            w *= self.c
+            self._w = w
         return self._w
 
     def hessian(self, idx=None) -> np.ndarray:
@@ -230,33 +261,33 @@ class _Point:
         - V/U: otherwise (per-transition covariates), H = V'V - M o U'U
           with V = Z (w / sqrt c) and U = Z sqrt(w) column by column on
           the concatenated design and M the same-transition mask; both
-          products are A'A.
+          products are A'A of a C-ordered A.
         """
         if idx is None and self._H is not None:
             return self._H
         core = self.core
         gram = core.gram
+        w = self.shrink_weights()
         if gram is not None:
             if self._DP is None:
-                w = self.shrink_weights().T          # (3, n)
                 q = w / self.c
                 D = np.empty((6, core.n))
-                np.multiply(w, q - 1.0, out=D[:3])
+                np.subtract(q, 1.0, out=D[:3])
+                D[:3] *= w
                 np.multiply(q[0], w[1], out=D[3])
                 np.multiply(q[0], w[2], out=D[4])
                 np.multiply(q[1], w[2], out=D[5])
                 self._DP = (D @ gram[0]).ravel()
-            index = gram[1]
-            if idx is not None and len(idx) < core.p:
-                index = index[idx][:, idx]
-            H = self._DP.take(index)
+            if idx is None or len(idx) == core.p:
+                H = self._DP.take(gram[1])
+            else:
+                H = self._DP.take(core.gram_block(idx))
         else:
-            w = self.shrink_weights()
             Z, k = core.Zcat, core.transition
             if idx is not None:
                 Z, k = Z[:, idx], k[idx]
-            V = Z * (w / np.sqrt(self.c)[:, None])[:, k]
-            U = Z * np.sqrt(w)[:, k]
+            V = np.multiply(Z, (w / np.sqrt(self.c))[k].T, order="C")
+            U = np.multiply(Z, np.sqrt(w)[k].T, order="C")
             H = V.T @ V - np.where(k[:, None] == k, U.T @ U, 0.0)
         if idx is None:
             self._H = H
@@ -271,19 +302,19 @@ class _Point:
 class BetaLikelihood:
     """Log-likelihood, gradient, and Hessian in beta at fixed nuisance.
 
-    The log cumulative-hazard bases depend only on the nuisance block, so
-    they are computed once at construction; evaluations in beta are then
-    cheap vectorized closed forms.  All internals stay in log space to keep
-    exp(b'z) overflow out of the picture.  The closed form at the last beta
-    is kept, so a gradient and a Hessian at the same beta build it once; the
-    Hessian is built once per beta too and handed out as a copy, which the
-    caller may write into.
+    The log cumulative-hazard bases and the frailty constants depend only on
+    the nuisance block, so they are computed once at construction;
+    evaluations in beta are then cheap vectorized closed forms.  All
+    internals stay in log space to keep exp(b'z) overflow out of the
+    picture.  The closed form at the last beta is kept, so a gradient and a
+    Hessian at the same beta build it once; the Hessian is built once per
+    beta too and handed out as a copy, which the caller may write into.
     """
 
     def __init__(self, data: Dataset, nuisance):
         core = self.core = _Core(data)
         self.dims, self.p, self.n = core.dims, core.p, core.n
-        self.log_gamma = np.log(nuisance.gamma)
+        self.frailty = core.frailty(np.log(nuisance.gamma))
         spec = nuisance.baseline
         log_t = [log_cumulative_hazard(core.interval[j], spec, j + 1)
                  for j in range(3)]
@@ -291,18 +322,20 @@ class BetaLikelihood:
         if core.entry is not None:
             log_ratio[:2] = [log_cumulative_hazard(core.entry, spec, j + 1) - log_t[j]
                              for j in range(2)]
-        self.log_base, _ = core.log_bases(log_t, log_ratio)
+        self.log_base = np.array(core.log_bases(log_t, log_ratio)[0])     # (3, n)
         self.ev = [float(np.sum(spec.log_hazard(core.ev_times[j], j + 1)))
                    for j in range(3)]
         self._key = self._point = None
 
     def _at(self, beta) -> _Point:
-        beta = _check_beta(beta, self.p)
+        beta = np.asarray(beta, dtype=float)
         # keyed on a byte copy of beta, so a caller mutating its array in
-        # place cannot get a stale point
+        # place cannot get a stale point; a beta with the cached bytes and
+        # shape is the one already checked
         key = beta.tobytes()
-        if key != self._key:
-            self._key, self._point = key, _Point(self.core, beta, self.log_gamma,
+        if key != self._key or beta.shape != (self.p,):
+            beta = _check_beta(beta, self.p)
+            self._key, self._point = key, _Point(self.core, beta, self.frailty,
                                                  self.log_base)
         return self._point
 
@@ -436,6 +469,7 @@ def pseudo_data(beta, u, H) -> PseudoData:
         raise ValueError(f"expected a {p} x {p} Hessian, got shape {J.shape}")
     if p == 0:
         return PseudoData(X=np.empty((0, 0)), W=np.empty(0), G=np.empty((0, 0)), c=np.empty(0))
+    u = np.asarray(u, dtype=float)
     for jit in _JITTERS:
         A = J + jit * np.eye(p) if jit else J
         if not np.isfinite(A).all():
@@ -443,7 +477,8 @@ def pseudo_data(beta, u, H) -> PseudoData:
         X, info = _dpotrf(A, lower=0, clean=1)
         if info > 0:                    # not positive definite
             continue
-        rhs = A @ beta + np.asarray(u, dtype=float)
+        rhs = A.dot(beta)
+        rhs += u
         if not np.isfinite(rhs).all():
             raise ValueError("non-finite coefficient or gradient")
         W, info_trtrs = _dtrtrs(X, rhs, lower=0, trans=1)

@@ -135,23 +135,24 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float) -> np.ndarray:
     numerically positive definite.
     """
     beta_prev = np.asarray(beta_prev, dtype=float)
+    p = len(beta_prev)
     active = np.abs(beta_prev) >= PenaltyConfig.zero_threshold
-    if not active.any():
-        return np.zeros_like(beta_prev)
+    k = np.count_nonzero(active)
+    if k == 0:
+        return np.zeros(p)
     # almost always the whole block is active: then G needs no gather
-    full = active.all()
-    if full:
+    if k == p:
         A, c, b = pseudo.G.copy(), pseudo.c, beta_prev
     else:
         A, c, b = pseudo.G[np.ix_(active, active)], pseudo.c[active], beta_prev[active]
     if lam != 0.0:
-        A.ravel()[::len(b) + 1] += lam * (1.0 / b ** 2)
+        A.ravel()[::k + 1] += lam * (1.0 / b ** 2)
     _, x, info = _dposv(A, c)
     if info:                            # not numerically positive definite
         x = np.linalg.solve(A, c)
-    if full:
+    if k == p:
         return x
-    out = np.zeros_like(beta_prev)
+    out = np.zeros(p)
     out[active] = x
     return out
 
@@ -268,10 +269,10 @@ class _Bar:
         return np.where(np.abs(beta_init) >= PenaltyConfig.zero_threshold, beta_init, 0.0)
 
     def step(self, ev, beta, lam):
-        nz = np.flatnonzero(beta)
+        nz = beta.nonzero()[0]
         b = beta[nz]
         pseudo = pseudo_data(b, ev.gradient(beta)[nz], ev.hessian(beta, nz))
-        beta_new = np.zeros_like(beta)
+        beta_new = np.zeros(beta.size)
         beta_new[nz] = bar_step(b, pseudo, lam)
         return beta_new, pseudo.jitter, True
 

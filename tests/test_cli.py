@@ -469,8 +469,8 @@ class TestLambdaGridInputs:
 
 class TestDegreesFlag:
     """A malformed, negative or short ``--degrees``, and any ``--degrees``
-    without a Bernstein baseline, is a usage error (exit 1) found before any
-    fit."""
+    without a Bernstein baseline, is a usage error (exit 1) found before the
+    CSV is read: no fit runs and no output directory is made."""
 
     @pytest.mark.parametrize("command", ["fit", "select"])
     @pytest.mark.parametrize("flags", [
@@ -484,10 +484,12 @@ class TestDegreesFlag:
         import scrbar.cli as cli_mod
         monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
         monkeypatch.setattr(cli_mod, "bic_degree_select", _must_not_run)
+        monkeypatch.setattr(cli_mod, "read_dataset_csv", _must_not_run)
         path, _, _ = sim_csv
         rc = main([command, path, *flags, "--out", str(tmp_path / "bad")])
         assert rc == 1
         assert "--degrees" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
 
 def test_truncation_flag_is_gone(sim_csv, tmp_path, monkeypatch, capsys):

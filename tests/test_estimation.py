@@ -114,6 +114,37 @@ class TestFitUnpenalized:
         assert fr.grad_norm < _GTOL
         assert not fr.converged
 
+    @pytest.mark.parametrize("baseline, data", [
+        ("weibull", dict(n=60, d=3, seed=54)),
+        ("bernstein", dict(n=60, d=3, seed=54)),
+        ("weibull", dict(n=80, d=2, seed=57, trunc_upper=0.4)),
+        ("bernstein", dict(n=80, d=2, seed=57, trunc_upper=0.4)),
+        # no finite maximizer: coefficients on the box, where the projection acts
+        ("weibull", dict(n=71, d=4, seed=77)),
+    ])
+    def test_grad_norm_is_the_projected_gradient_at_the_fit(self, monkeypatch,
+                                                             baseline, data):
+        # the fit reads the gradient the optimizer returns with its answer;
+        # it must be the objective's own at that answer, bit for bit
+        import scipy.optimize
+        real, results = scipy.optimize.minimize, []
+
+        def recording(*args, **kwargs):
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        data = small_dataset(**data)
+        cfg = FitConfig(baseline=baseline)
+        fr = fit_unpenalized(data, cfg)
+        (res,) = results
+        obj = _Objective(data, cfg)
+        value, grad = obj.value_and_grad(res.x)
+        lo, hi = np.array(obj.bounds()).T
+        pushing = ((res.x <= lo + 1e-12) & (grad > 0.0)) | ((res.x >= hi - 1e-12) & (grad < 0.0))
+        assert fr.grad_norm == float(np.max(np.abs(np.where(pushing, 0.0, grad))))
+        assert fr.loglik == -value
+
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     @CALENDAR
     def test_loglik_field_consistent(self, baseline, truncation):

@@ -16,7 +16,8 @@ from scrbar import (
     risk_terms,
 )
 from scrbar.cli import read_dataset_csv, write_dataset_csv
-from scrbar.likelihood import BetaLikelihood, DegenerateRecordError, _Core
+from scrbar.baselines import _col_logsumexp
+from scrbar.likelihood import BetaLikelihood, DegenerateRecordError, _Core, _Point
 from _helpers import CALENDAR, random_params, small_dataset, unit_weibull
 
 
@@ -419,7 +420,7 @@ def _reference_hessian(ev, beta):
     fused routes (Gram on these shared covariates, V'V - M o U'U otherwise)
     must reproduce."""
     pt = ev._at(beta)
-    core, w = pt.core, pt.shrink_weights()
+    core, w = pt.core, pt.shrink_weights().T
     offs, Z = core.offs, core.Z
     H = np.zeros((core.p, core.p))
     for k in range(3):
@@ -545,6 +546,134 @@ class TestHessianRoutes:
         write_dataset_csv(path, kept)
         assert "z1_1" in path.read_text().splitlines()[0].split(",")
         assert _Core(read_dataset_csv(path)[0]).gram is None
+
+
+class TestRefresh:
+    """A surrogate refresh reuses what its beta and nuisance fix: the point
+    at a beta with the cached bytes, the frailty constants, and the Gram
+    index map of the last block.  None of it may change an answer."""
+
+    @pytest.fixture(params=["gram", "vu"])
+    def problem(self, request):
+        """A maker of fresh BetaLikelihoods on one route, and two betas."""
+        data = small_dataset(n=60, d=4, seed=8, trunc_upper=0.4)
+        rng = np.random.default_rng(8)
+        nuisance = random_params(data, rng).nuisance
+        make = {"gram": BetaLikelihood, "vu": _vu_route}[request.param]
+        assert (make(data, nuisance).core.gram is None) == (request.param == "vu")
+        return (lambda: make(data, nuisance)), [rng.normal(0.0, 0.3, data.p)
+                                                for _ in range(2)]
+
+    def test_cached_bytes_in_the_wrong_shape_are_refused(self, problem):
+        make, (b, _) = problem
+        ev = make()
+        point = ev._at(b)
+        for bad in (b.reshape(1, -1), b.reshape(-1, 1), b.reshape(3, -1)):
+            assert bad.tobytes() == b.tobytes()
+            for call in (ev.gradient, ev.hessian, ev.loglik):
+                with pytest.raises(ValueError, match="length"):
+                    call(bad)
+        # the refusals leave the cached point in place
+        assert ev._at(b.copy()) is point
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beta_is_refused_after_a_finite_one(self, problem, bad):
+        make, (b, _) = problem
+        ev = make()
+        ev.hessian(b)
+        nonfinite = b.copy()
+        nonfinite[3] = bad
+        for call in (ev.gradient, ev.hessian, ev.loglik):
+            with pytest.raises(ValueError, match="non-finite"):
+                call(nonfinite)
+
+    def test_in_place_mutation_gets_a_fresh_point(self, problem):
+        make, (b, _) = problem
+        ev = make()
+        point = ev._at(b)
+        b[0] += 0.125
+        assert ev._at(b) is not point
+        assert np.array_equal(ev.gradient(b), make().gradient(b.copy()))
+
+    def test_block_index_survives_support_changes(self, problem):
+        make, betas = problem
+        ev = make()
+        p = ev.p
+        first = np.array([0, 2, 3, 7, 9, p - 1], dtype=np.intp)
+        second = np.array([1, 2, 4, 7], dtype=np.intp)
+        for beta, idx in [(betas[0], first), (betas[0], second), (betas[1], second),
+                          (betas[1], first), (betas[0], first),
+                          (betas[0], first.astype(np.int32))]:
+            got = ev.hessian(beta, idx)
+            fresh = make()
+            assert np.array_equal(got, fresh.hessian(beta, idx))
+            if fresh.core.gram is not None:
+                # a Gram block gathers the entries of the full matrix
+                assert np.array_equal(got, fresh.hessian(beta)[np.ix_(idx, idx)])
+
+    def test_beta_likelihood_is_the_fit_point(self, problem):
+        # the fit builds its point with per-point frailty constants from
+        # three log-base rows, and takes the gradient from the same rows
+        make, betas = problem
+        ev = make()
+        core, (log_gamma, _, _) = ev.core, ev.frailty
+        idx = np.array([0, 1, 5, 6, 10], dtype=np.intp)
+        for b in betas:
+            pt = _Point(core, b, core.frailty(log_gamma), list(ev.log_base))
+            assert np.array_equal(ev.gradient(b), core.grad_beta(pt.shrink_weights()))
+            assert np.array_equal(ev.hessian(b), pt.hessian())
+            assert np.array_equal(ev.hessian(b, idx), pt.hessian(idx))
+            assert ev.loglik(b) == pt.loglik(ev.ev)
+
+    def test_refresh_keeps_the_straight_line_arithmetic(self, problem):
+        make, betas = problem
+        ev = make()
+        for b in betas:
+            w, grad, H = _straight_line_refresh(ev, b)
+            assert np.array_equal(ev._at(b).shrink_weights(), w.T)
+            assert np.array_equal(ev.gradient(b), grad)
+            if H is not None:
+                assert np.array_equal(ev.hessian(b), H)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 400), d=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+    def test_dot_into_a_row_is_matmul_bitwise(self, n, d, seed):
+        # the closed form's gemv products write into rows with ndarray.dot,
+        # which runs the BLAS call of ``@``
+        rng = np.random.default_rng(seed)
+        Z = rng.normal(size=(n, d)) * np.exp(rng.uniform(-5.0, 5.0, (n, d)))
+        b, r = rng.normal(size=d), rng.normal(size=n)
+        rows, g = np.empty((2, n)), np.empty(d + 1)
+        Z.dot(b, out=rows[1])
+        Z.T.dot(r, out=g[1:])
+        assert np.array_equal(rows[1], Z @ b) and np.array_equal(g[1:], Z.T @ r)
+
+
+def _straight_line_refresh(ev, beta):
+    """The shrink weights (n x 3), gradient and Gram-route Hessian (None on
+    per-transition covariates) at ``beta``, in the expressions the closed
+    form had before it kept its rows and constants: the refresh must keep
+    every floating-point operation of these."""
+    core = ev.core
+    log_gamma = ev.frailty[0]
+    lp = [core.Z[k] @ beta[core.offs[k]:core.offs[k + 1]] for k in range(3)]
+    loge = np.array([ev.log_base[k] + lp[k] for k in range(3)])
+    L1 = np.logaddexp(0.0, log_gamma + _col_logsumexp(loge))
+    gamma = np.exp(log_gamma)
+    c = 1.0 / gamma + core.delta[0] + core.delta[1]
+    w = np.ascontiguousarray((c * np.exp(log_gamma + loge - L1)).T)
+    grad = np.concatenate([core.Z[k].T @ (core.event_weight[k] - w[:, k])
+                           for k in range(3)])
+    if core.gram is None:
+        return w, grad, None
+    wr = w.T
+    q = wr / c
+    D = np.empty((6, core.n))
+    np.multiply(wr, q - 1.0, out=D[:3])
+    np.multiply(q[0], wr[1], out=D[3])
+    np.multiply(q[0], wr[2], out=D[4])
+    np.multiply(q[1], wr[2], out=D[5])
+    return w, grad, (D @ core.gram[0]).ravel().take(core.gram[1])
 
 
 def _max_rel(got, want):

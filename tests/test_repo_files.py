@@ -2,6 +2,7 @@
 quicker demos, the benchmark tracer's lookup sites and the CI workflow."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -81,6 +82,15 @@ def test_ci_runs_tier1():
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]*)`", roadmap).group(1)
     assert tier1 in runs
     assert "python3 perfbench/selftest.py" in runs
+    # every benchmark workload's answers are checked against seed 0's stored
+    # references, in a bash step, whose pipefail fails on a failed run
+    gate = [step for step in steps if "perfbench/run.py" in step.get("run", "")]
+    assert [step.get("shell") for step in gate] == ["bash"]
+    lines = gate[0]["run"].splitlines()
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for workload in benchmark["workloads"]:
+        assert (f"python3 perfbench/run.py --workload {workload['name']} --seed 0 "
+                "--seconds 3 | tail -n 1 | grep -F '\"correct\": true'") in lines
     job_env = [job.get("env", {}) for job in workflow["jobs"].values()]
     assert all(env.get("OPENBLAS_NUM_THREADS") == "1" for env in job_env)
     install = next(r for r in runs if "pip install" in r)
