@@ -623,6 +623,9 @@ def cmd_select(args) -> int:
             if grid.size == 1:
                 fh.write("note: single-point grid, tuning is degenerate\n")
             fh.write(f"chosen lambda: {chosen:.6g}\n")
+            if grid.size > 1 and chosen in (grid.min(), grid.max()):
+                edge = "smallest" if chosen == grid.min() else "largest"
+                fh.write(f"note: chosen lambda is the grid's {edge} value\n")
         eps = PenaltyConfig.zero_threshold
         n_sel = int(np.sum(np.abs(beta_hat) >= eps))
         fh.write(f"selected coefficients: {n_sel} of {data.p}\n\n")

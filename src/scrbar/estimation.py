@@ -298,9 +298,12 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
     grad_norm = float(np.max(np.abs(pg)))
     # a coefficient on its +-30 bound means no finite maximizer was reached
     on_box = bool((at_lo | at_hi)[:obj.p].any())
+    # after an abnormal line search (status 2) L-BFGS-B returns the last
+    # accepted x and gradient, but res.fun holds the last trial value
+    fun = obj.value_and_grad(res.x)[0] if res.status == 2 else res.fun
     return FitResult(
         params=obj.build_params(res.x),
-        loglik=-float(res.fun),
+        loglik=-float(fun),
         converged=grad_norm < _GTOL and not on_box,
         n_iter=int(res.nit),
         grad_norm=grad_norm)

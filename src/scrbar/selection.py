@@ -18,18 +18,15 @@ The kinds differ only in their penalty object, which ``_problem`` builds
 once from ``cfg.kind``: ``_Bar`` or ``_L1``.  It gives the loop's start, the
 surrogate refresh and step, the penalty value in the objective and the
 weights w of the GCV curvature diagonal w/|b|.  BAR solves its reweighted
-ridge in closed form (``bar_step``); LASSO and adaptive LASSO run cyclic
-coordinate descent with soft-thresholding on (G, c) with unit or adaptive
-weights.
-
-Each L1 step finishes exactly (``_l1_step``; the active-set idea of
-Osborne, Presnell & Turlach 2000): once a sweep leaves the signed support s
-unchanged, the minimizer with those signs solves G_AA b_A = c_A - lam w_A s_A
-on A = supp(s), and it is kept if the KKT conditions confirm it.  Sweeps
-then stop at the minimizer itself instead of within coordinate descent's
-tolerance of it, in a few sweeps instead of many; a signed support that does
-not verify sends the step back to plain coordinate descent.  A step that
-stops at its sweep cap leaves the solve unconverged.
+ridge in closed form (``bar_step``).  LASSO and adaptive LASSO, with unit
+or adaptive weights, minimize a strictly convex quadratic plus a weighted
+L1 term on (G, c), and ``_l1_step`` computes that unique minimizer
+directly by the sign-feasible active-set method of Osborne, Presnell &
+Turlach (2000): one solve G_AA b_A = c_A - lam w_A s_A per signed support
+s, on A = supp(s), with a coordinate dropped where the solve changes its
+sign and the largest KKT violator added where none does.  From the
+surrogate loop's warm start most steps take one solve; a step that stops
+short of a verified minimizer leaves the solve unconverged.
 
 BAR's reweighted ridge cannot produce exact zeros on its own (the weight
 1/b^2 diverges instead), so coordinates falling below the zero threshold
@@ -66,6 +63,9 @@ __all__ = [
 ]
 
 _WEIGHT_CAP = 1e12
+# the most signed supports one L1 step solves on; in exact arithmetic none
+# repeats, so only rounding reaches it
+_MAX_SUPPORTS = 1000
 
 
 def default_lambda_grid(n: int, lo: float = 1e-3, hi: float = 1e2,
@@ -157,86 +157,58 @@ def bar_step(beta_prev, pseudo: PseudoData, lam: float) -> np.ndarray:
     return out
 
 
-def _sweeps(G, c, b, thr, sweeps, tol):
-    """Cyclic soft-threshold sweeps on 0.5 b'Gb - c'b + sum thr|b|, updating
-    the list ``b`` in place.
+def _l1_step(G, c, b0, lam, weights):
+    """The minimizer of 0.5 b'Gb - c'b + lam sum w|b| by the sign-feasible
+    active-set method (Osborne, Presnell & Turlach 2000), and whether it
+    finished.
 
-    After each sweep this yields whether the sweep changed the sign (-, 0 or
-    +) of any coordinate and whether it moved none by ``tol``, and it stops
-    after such a sweep or after ``sweeps`` sweeps.  The coordinates are
-    updated on Python floats, which round exactly as numpy scalars do; only
-    the residual update r -= G[:, j] * step is a vector operation.
-    """
-    r = c - G @ np.array(b)
-    r_at = r.item
-    cols = list(G.T)                    # cols[j] is the column G[:, j]
-    diag = np.diag(G).tolist()
-    thr = thr.tolist()
-    for _ in range(sweeps):
-        delta, flipped = 0.0, False
-        for j, old in enumerate(b):
-            x = r_at(j) + diag[j] * old
-            a = abs(x) - thr[j]
-            bj = ((a if x > 0.0 else -a) if a > 0.0 else 0.0) / diag[j]
-            if bj != old:
-                r -= cols[j] * (bj - old)
-                b[j] = bj
-                delta = max(delta, abs(bj - old))
-                # a product that underflows to 0 only reads as a flip
-                flipped = flipped or bj * old <= 0.0
-        yield flipped, delta < tol
-        if delta < tol:
-            return
-
-
-def _signed_support_solution(G, c, s, thr):
-    """The minimizer of 0.5 b'Gb - c'b + sum thr|b| if its signs are ``s``,
-    else None.
-
-    On A = supp(s) it solves the stationarity G_AA b_A = c_A - thr_A s_A and
-    keeps b (0 off A) only under the remaining KKT conditions: sign(b_A) =
-    s_A and |c_j - (G b)_j| <= thr_j off A.  A singular block is no answer.
-    """
-    A = np.flatnonzero(s)
-    b = np.zeros_like(c)
-    try:
-        b[A] = np.linalg.solve(G[np.ix_(A, A)], c[A] - thr[A] * s[A])
-    except np.linalg.LinAlgError:
-        return None
-    off = s == 0.0
-    grad = c[off] - G[np.ix_(off, A)] @ b[A]
-    if np.array_equal(np.sign(b[A]), s[A]) and np.all(np.abs(grad) <= thr[off]):
-        return b
-    return None
-
-
-def _l1_step(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """Cyclic soft-threshold minimization of 0.5 b'Gb - c'b + lam sum w|b|,
-    finished exactly on its signed support, and whether it finished: False
-    when it stopped at the sweep cap.
-
-    After a sweep that changes no sign, the minimizer with those signs is
-    solved for (``_signed_support_solution``), at most once per distinct
-    signed support, and returned when it satisfies the KKT conditions.
-    Otherwise the sweeps go on, and the answer is plain coordinate descent's
-    bit for bit.
+    From the signed support s = sign(b0), it solves G_AA x_A = c_A -
+    lam w_A s_A on A = supp(s), x = 0 off A.  Where a coordinate of A
+    changes sign, b steps to the first zero crossing on the segment from b
+    to x, that coordinate leaves A and x is solved again.  Otherwise b = x,
+    which is returned once |c_j - (G b)_j| <= lam w_j off A, or else the
+    largest violator joins A with the sign of c_j - (G b)_j.  In exact
+    arithmetic the objective falls at every change, so no signed support
+    repeats and a coordinate just added keeps its sign.  ``finished`` is
+    False where rounding breaks that: after ``_MAX_SUPPORTS`` solves, on a
+    numerically singular block, or when a coordinate just added solves back
+    to zero or to the other sign.  b is then the last point reached; in the
+    last case the minimizer on its signed support, with a KKT violation too
+    small for the solve to resolve.
     """
     thr = lam * np.asarray(weights, dtype=float)
-    b = np.asarray(b0, dtype=float).tolist()
-    tried, fresh = set(), True          # fresh: signs changed since last read
-    for flipped, done in _sweeps(G, c, b, thr, sweeps, tol):
-        if flipped:
-            fresh = True
-        elif fresh:
-            fresh = False
-            s = np.sign(b)
-            key = s.tobytes()
-            if key not in tried:
-                tried.add(key)
-                exact = _signed_support_solution(G, c, s, thr)
-                if exact is not None:
-                    return exact, True
-    return np.array(b), done
+    b = np.asarray(b0, dtype=float)
+    s = np.sign(b)
+    added = None                        # the coordinate the last change added
+    for _ in range(_MAX_SUPPORTS):
+        A = np.flatnonzero(s)
+        x = np.zeros_like(c)
+        if A.size:
+            try:
+                x[A] = np.linalg.solve(G[np.ix_(A, A)], c[A] - thr[A] * s[A])
+            except np.linalg.LinAlgError:
+                return b, False
+        wrong = np.flatnonzero(np.sign(x) != s)
+        if added is not None and added in wrong:
+            return b, False
+        if wrong.size:
+            ratio = b[wrong] / (b[wrong] - x[wrong])
+            b = b + ratio.min() * (x - b)
+            b[wrong[np.argmin(ratio)]] = 0.0
+            # drop the crossing, and any coordinate rounding took to or past 0
+            s[np.sign(b) != s] = 0.0
+            b[s == 0.0] = 0.0
+            added = None
+            continue
+        b = x
+        grad = c - G @ b
+        viol = np.abs(grad) - thr
+        viol[A] = 0.0
+        if np.max(viol, initial=0.0) <= 0.0:
+            return b, True
+        added = int(np.argmax(viol))
+        s[added] = np.sign(grad[added])
+    return b, False
 
 
 def l1_kkt_residual(G, c, b, lam, weights) -> float:
@@ -285,7 +257,8 @@ class _L1:
     """Weighted L1, sum w|b|: ones for LASSO, ``alasso_weights`` for
     ALASSO.  It starts from beta as given and refreshes on every coordinate,
     since an L1 coordinate at zero can re-enter; each step is ``_l1_step`` on
-    the surrogate's (G, c), finished unless it stopped at its sweep cap."""
+    the surrogate's (G, c), finished unless rounding stopped it short of a
+    verified minimizer."""
 
     weights: np.ndarray
 

@@ -231,6 +231,23 @@ class TestSelectCommand:
         assert rc == 0
         assert "degenerate" in (out / "selection_report.txt").read_text()
 
+    @pytest.mark.parametrize("grid, edge", [
+        # the signal survives the small lambda and no coefficient the large one
+        (["--lambda-min", "1", "--lambda-max", "1e3"], "smallest"),
+        # every coefficient is 0 at each lambda: GCV ties go to the larger
+        (["--lambda-min", "1e3", "--lambda-max", "1e4"], "largest"),
+    ])
+    def test_chosen_lambda_on_a_grid_edge_is_noted(self, sim_csv, tmp_path, grid, edge):
+        path, _, _ = sim_csv
+        out = tmp_path / edge
+        rc = main(["select", path, "--method", "lasso", "--baseline", "weibull",
+                   "--lambda-count", "3", *grid, "--out", str(out)])
+        assert rc == 0
+        lines = (out / "selection_report.txt").read_text().splitlines()
+        at = next(i for i, s in enumerate(lines) if s.startswith("chosen lambda: "))
+        assert lines[at + 1] == f"note: chosen lambda is the grid's {edge} value"
+        assert sum(s.startswith("note: ") for s in lines) == 1
+
     def test_oracle_refit(self, sim_csv, tmp_path):
         path, data, truth = sim_csv
         out = tmp_path / "orc"

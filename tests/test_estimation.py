@@ -146,6 +146,25 @@ class TestFitUnpenalized:
         assert fr.loglik == -value
 
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
+    def test_loglik_at_the_returned_point_after_an_abnormal_line_search(
+            self, monkeypatch, baseline):
+        # one step per line search ends the fit with status 2, where SciPy's
+        # res.fun is the last trial value, not the objective at res.x
+        import scipy.optimize
+        real, results = scipy.optimize.minimize, []
+
+        def one_step(*args, **kwargs):
+            kwargs["options"] = dict(kwargs["options"], maxls=1)
+            results.append(real(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(scipy.optimize, "minimize", one_step)
+        data = small_dataset(n=60, d=3, seed=54)
+        fr = fit_unpenalized(data, FitConfig(baseline=baseline))
+        assert [res.status for res in results] == [2]
+        assert fr.loglik == pytest.approx(log_likelihood(fr.params, data), rel=1e-12)
+
+    @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     @CALENDAR
     def test_loglik_field_consistent(self, baseline, truncation):
         # the fit's objective and log_likelihood share one closed form but

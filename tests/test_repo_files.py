@@ -93,5 +93,9 @@ def test_ci_runs_tier1():
                 "--seconds 3 | tail -n 1 | grep -F '\"correct\": true'") in lines
     job_env = [job.get("env", {}) for job in workflow["jobs"].values()]
     assert all(env.get("OPENBLAS_NUM_THREADS") == "1" for env in job_env)
-    install = next(r for r in runs if "pip install" in r)
-    assert "numpy==2.4.6" in install and "scipy==1.17.1" in install
+    # the test tools are pinned too: an upgrade of one can fail tier-1 on
+    # its own, as an import inside Hypothesis once did
+    install = next(r for r in runs if "pip install" in r).split()
+    for pin in ("numpy==2.4.6", "scipy==1.17.1", "pytest==9.0.3", "hypothesis==6.155.2",
+                "pyyaml==6.0.3"):
+        assert pin in install

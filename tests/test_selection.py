@@ -1,5 +1,4 @@
 import dataclasses
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,8 +279,10 @@ class TestL1:
 
 
 def _reference_coordinate_descent(G, c, b0, lam, weights, sweeps=2000, tol=1e-10):
-    """The coordinate-descent loop on numpy scalars, as first written: the
-    reference that the float-scalar loop must reproduce exactly."""
+    """Cyclic coordinate descent with soft-thresholding on numpy scalars,
+    the L1 step as first written: it stops once a sweep moves no coordinate
+    by ``tol``, so it reaches the minimizer's signed support where it is well
+    conditioned, but not the minimizer itself."""
     def soft(x, thr):
         return np.sign(x) * max(abs(x) - thr, 0.0)
 
@@ -313,35 +314,6 @@ def _reference_kkt_residual(G, c, b, lam, weights):
     return float(res)
 
 
-class TestCoordinateDescentReference:
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 12),
-           t=st.floats(0.0, 1.0), capped=st.booleans(),
-           sweeps=st.sampled_from([1, 3, 2000]))
-    def test_matches_numpy_scalar_loop_exactly(self, seed, p, t, capped, sweeps):
-        rng = np.random.default_rng(seed)
-        X = np.triu(rng.normal(size=(p, p))) + rng.uniform(0.2, 3.0) * np.eye(p)
-        W = rng.normal(size=p)
-        G, c = X.T @ X, X.T @ W
-        b0 = np.where(rng.random(p) < 0.3, 0.0, rng.normal(size=p))
-        # adaptive weights up to the cap, or LASSO's ones; lambda log-uniform
-        # from 1e-8 to twice the largest |c|, beyond which every coordinate is 0
-        weights = (alasso_weights(np.where(rng.random(p) < 0.2, 1e-300,
-                                           rng.normal(size=p)))
-                   if capped else np.ones(p))
-        lam_max = 2.0 * max(float(np.max(np.abs(c), initial=0.0)), 1e-8)
-        lam = float(np.exp(np.log(1e-8) + t * np.log(lam_max / 1e-8)))
-        # without the exact finish, the step is plain coordinate descent
-        with mock.patch.object(selection_mod, "_signed_support_solution",
-                               lambda *args: None):
-            got, _ = _l1_step(G, c, b0, lam, weights, sweeps=sweeps)
-        want = _reference_coordinate_descent(G, c, b0, lam, weights, sweeps=sweeps)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert l1_kkt_residual(G, c, got, lam, weights) == _reference_kkt_residual(
-            G, c, got, lam, weights)
-
-
 def _well_conditioned_l1_problem(seed, p, t, capped):
     """A random L1 surrogate problem with G = X'X well conditioned, from
     X = 0.3 triu(N(0, 1)) + U(1, 3) I, and lambda log-uniform from 1e-8 to
@@ -358,42 +330,78 @@ def _well_conditioned_l1_problem(seed, p, t, capped):
     return G, c, b0, lam, weights
 
 
+def _signed_support_solve(G, c, b, lam, weights):
+    """The minimizer with the signs of ``b``: G_AA x_A = c_A - lam w_A s_A on
+    A = supp(b), 0 off A."""
+    s = np.sign(b)
+    A = np.flatnonzero(s)
+    x = np.zeros_like(c)
+    x[A] = np.linalg.solve(G[np.ix_(A, A)], c[A] - lam * weights[A] * s[A])
+    return x
+
+
+def _scale(c):
+    return 1.0 + float(np.max(np.abs(c), initial=0.0))
+
+
 class TestExactFinish:
-    """``_l1_step`` is coordinate descent finished by one solve on its signed
-    support, kept only where the KKT conditions confirm it."""
+    """``_l1_step`` is the active-set method: it ends on the minimizer's
+    signed support, with the answer of one solve on it."""
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), p=st.integers(0, 30),
            t=st.floats(0.0, 1.0), capped=st.booleans())
     def test_same_signed_support_at_the_exact_minimizer(self, seed, p, t, capped):
         G, c, b0, lam, weights = _well_conditioned_l1_problem(seed, p, t, capped)
-        got, _ = _l1_step(G, c, b0, lam, weights)
+        got, finished = _l1_step(G, c, b0, lam, weights)
         want = _reference_coordinate_descent(G, c, b0, lam, weights)
+        assert finished
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(np.sign(got), np.sign(want))
-        scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-        assert l1_kkt_residual(G, c, got, lam, weights) <= 1e-12 * scale
+        residual = l1_kkt_residual(G, c, got, lam, weights)
+        assert residual == _reference_kkt_residual(G, c, got, lam, weights)
+        assert residual <= 1e-12 * _scale(c)
+        # the identity that keeps the pipeline's answers bit for bit
+        assert got.tobytes() == _signed_support_solve(G, c, got, lam, weights).tobytes()
 
-    def test_unverified_finish_returns_coordinate_descent(self, monkeypatch):
-        # two identical columns: the block on both is singular, so the solve
-        # on their common sign cannot verify; the smaller adaptive weight
-        # draws the mass over by only 1e-6 per sweep, so coordinate descent
-        # keeps that sign until its sweeps run out
-        G = np.ones((2, 2))
-        c = np.array([2.0, 2.0])
-        weights = np.array([1.001, 1.0])
-        b0 = np.array([1.0, 1.0])
-        real, tries = selection_mod._signed_support_solution, []
+    def test_no_coordinates(self):
+        got, finished = _l1_step(np.zeros((0, 0)), np.zeros(0), np.zeros(0), 0.5, np.ones(0))
+        assert finished and got.shape == (0,)
 
-        def recording(*args):
-            tries.append(real(*args))
-            return tries[-1]
+    def test_from_zero(self):
+        G, c, _, lam, weights = _well_conditioned_l1_problem(3, 12, 0.9, False)
+        got, finished = _l1_step(G, c, np.zeros(12), lam, weights)
+        assert finished and 0 < np.count_nonzero(got) < 12
+        assert l1_kkt_residual(G, c, got, lam, weights) <= 1e-12 * _scale(c)
+        assert got.tobytes() == _signed_support_solve(G, c, got, lam, weights).tobytes()
 
-        monkeypatch.setattr(selection_mod, "_signed_support_solution", recording)
-        got, _ = _l1_step(G, c, b0, 1e-3, weights)
-        want = _reference_coordinate_descent(G, c, b0, 1e-3, weights)
-        assert tries == [None]
-        assert np.all(got > 0.0) and got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("capped", [False, True])
+    def test_all_zero_above_every_threshold(self, capped):
+        G, c, b0, _, weights = _well_conditioned_l1_problem(4, 12, 0.0, capped)
+        lam = 1.01 * float(np.max(np.abs(c) / weights))
+        got, finished = _l1_step(G, c, b0, lam, weights)
+        assert finished and got.tobytes() == np.zeros(12).tobytes()
+
+    def test_lambda_zero_is_the_newton_solution(self):
+        G, c, b0, _, weights = _well_conditioned_l1_problem(5, 12, 0.0, False)
+        got, finished = _l1_step(G, c, b0, 0.0, weights)
+        assert finished and got.tobytes() == np.linalg.solve(G, c).tobytes()
+
+    def test_finishes_where_coordinate_descent_ran_out_of_sweeps(self):
+        # cond(G) is about 2.8e5: cyclic coordinate descent stopped at its
+        # 2000-sweep cap here with a KKT residual of 1.5e-3 (1 + max|c|)
+        rng = np.random.default_rng(1116)
+        p = int(rng.integers(2, 16))
+        X = np.triu(rng.normal(size=(p, p))) + rng.uniform(1.0, 3.0) * np.eye(p)
+        G = X.T @ X
+        c = X.T @ rng.normal(size=p)
+        b0 = np.where(rng.random(p) < 0.4, 0.0, rng.normal(size=p))
+        weights = np.ones(p)
+        lam = float(np.exp(np.log(1e-8) + rng.random()
+                           * np.log(2.0 * np.max(np.abs(c)) / 1e-8)))
+        got, finished = _l1_step(G, c, b0, lam, weights)
+        assert finished
+        assert l1_kkt_residual(G, c, got, lam, weights) <= 1e-12 * _scale(c)
 
 
 def _random_information(rng, p):
@@ -722,20 +730,13 @@ class TestFitConvention:
 
 
 class TestSweepCap:
-    """A lambda whose last L1 step ran out of sweeps, without meeting its
-    tolerance or verifying, is not converged, although its outer iterates
-    stabilized."""
+    """A lambda whose last L1 step stopped at its cap on signed supports,
+    unfinished, is not converged, although its outer iterates stabilized."""
 
     @pytest.mark.parametrize("kind", ["lasso", "alasso"])
     def test_capped_last_step_is_not_converged(self, fitted, monkeypatch, kind):
         data, nu = fitted
-        real = selection_mod._l1_step
-
-        def one_sweep(G, c, b0, lam, weights):
-            return real(G, c, b0, lam, weights, sweeps=1)
-
-        monkeypatch.setattr(selection_mod, "_l1_step", one_sweep)
-        monkeypatch.setattr(selection_mod, "_signed_support_solution", lambda *args: None)
+        monkeypatch.setattr(selection_mod, "_MAX_SUPPORTS", 0)
         cfg = PenaltyConfig(kind=kind, lambda_grid=np.array([0.3, 1.0]))
         est = penalized_solve(data, nu, 1.0, cfg)
         assert est.n_iter < cfg.max_iter and not est.converged
