@@ -8,16 +8,25 @@ coefficients, and each owns its precomputed tables, bounds, starting
 values and the baseline spec it packs into the fitted parameters.
 Quasi-Newton (L-BFGS-B with a Wolfe line search) drives the fit; the
 gradient is analytic for every block.
+
+The fit calls ``_compiled.lbfgsb``, the loop of
+``scipy.optimize.minimize(..., method="L-BFGS-B")`` over SciPy's compiled
+``setulb``, and not ``minimize`` itself: importing ``scipy.optimize`` cost
+more start-up time and memory than a ``scrbar select`` on a 300-row CSV,
+and the fits are SciPy's bit for bit.  ``setulb`` is private to SciPy, so a
+SciPy upgrade must re-pass tests/test_compiled.py, which holds the loop to
+``minimize``, before the pinned range is widened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
-import scipy.optimize
 
+from . import _compiled
 from .baselines import (
     BernsteinBaselineSet,
     WeibullBaselineSet,
@@ -60,10 +69,14 @@ class FitConfig:
     def __post_init__(self):
         if self.baseline not in ("weibull", "bernstein"):
             raise ValueError(f"unknown baseline mode {self.baseline!r}")
-        if len(self.degrees) != 3:
+        degrees = tuple(self.degrees)
+        if len(degrees) != 3:
             raise ValueError("Bernstein degrees must be one per transition (m1, m2, m3)")
-        if any(int(m) < 0 for m in self.degrees):
+        if not all(isinstance(m, Integral) and not isinstance(m, bool) for m in degrees):
+            raise ValueError(f"Bernstein degrees must be integers, got {self.degrees!r}")
+        if any(m < 0 for m in degrees):
             raise ValueError("Bernstein degrees must be nonnegative")
+        object.__setattr__(self, "degrees", tuple(int(m) for m in degrees))
 
 
 @dataclass(frozen=True)
@@ -284,11 +297,9 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
         raise ValueError(
             f"need n > parameter count ({len(data)} <= {obj.n_params})")
     bounds = obj.bounds()
-    res = scipy.optimize.minimize(
-        obj.value_and_grad, obj.initial_point(), jac=True, method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 600, "ftol": 1e-12,
-                 "gtol": _GTOL / 10.0, "maxls": 60, "maxcor": 20})
+    res = _compiled.lbfgsb(
+        obj.value_and_grad, obj.initial_point(), bounds,
+        maxiter=600, ftol=1e-12, gtol=_GTOL / 10.0, maxls=60, maxcor=20)
     # projected gradient: components pushing against an active bound don't
     # count; res.jac is the objective's gradient at res.x, as returned there
     grad = res.jac

@@ -36,8 +36,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _dpotrf, dtrtrs as _dtrtrs
 
+from ._compiled import dpotrf as _dpotrf, dtrtrs as _dtrtrs
 from .baselines import _col_logsumexp, cumulative_hazard, log_cumulative_hazard
 from .domain import Dataset, ModelParameters, SubjectRecord
 

@@ -41,11 +41,12 @@ and the iterates are those of the full surrogate up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg.lapack import dposv as _dposv
 
+from ._compiled import dposv as _dposv
 from .domain import Dataset
 from .likelihood import BetaLikelihood, PseudoData, pseudo_data
 
@@ -89,6 +90,8 @@ class PenaltyConfig:
     def __post_init__(self):
         if self.kind not in _PENALTIES:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
+        if not isinstance(self.max_iter, Integral) or isinstance(self.max_iter, bool):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
         if not 0.0 < self.tol < np.inf:

@@ -18,6 +18,7 @@ from scrbar import (
     scenario_diverging_p,
     simulate_dataset,
 )
+from scrbar import _compiled
 from scrbar.estimation import _GTOL, _Bernstein, _Objective, bernstein_supports
 from _helpers import CALENDAR, reference_bernstein_evaluate, small_dataset, small_scenario
 
@@ -69,6 +70,20 @@ class TestPacking:
         theta = x0 + draw.draw(arrays(float, obj.n_params, elements=st.floats(-0.5, 0.5)))
         ll = log_likelihood(obj.build_params(theta), _PACKING_DATA)
         assert -obj.value_and_grad(theta)[0] == pytest.approx(ll, rel=1e-10)
+
+
+@pytest.mark.parametrize("degrees", [(2.5, 2, 3), (True, 2, 3), (2, 2.0, 3), (2, 2, "3")])
+def test_non_integer_degrees_refused_at_construction(degrees):
+    # (2.5, 2, 3) used to fail later with an unrelated TypeError, and
+    # (True, 2, 3) to fit degree 1
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        FitConfig(baseline="bernstein", degrees=degrees)
+
+
+def test_degrees_are_stored_as_a_tuple_of_ints():
+    cfg = FitConfig(baseline="bernstein", degrees=[np.int64(2), 1, np.int32(3)])
+    assert cfg.degrees == (2, 1, 3)
+    assert all(type(m) is int for m in cfg.degrees)
 
 
 def test_truncation_is_not_a_fit_setting():
@@ -126,14 +141,13 @@ class TestFitUnpenalized:
                                                              baseline, data):
         # the fit reads the gradient the optimizer returns with its answer;
         # it must be the objective's own at that answer, bit for bit
-        import scipy.optimize
-        real, results = scipy.optimize.minimize, []
+        real, results = _compiled.lbfgsb, []
 
         def recording(*args, **kwargs):
             results.append(real(*args, **kwargs))
             return results[-1]
 
-        monkeypatch.setattr(scipy.optimize, "minimize", recording)
+        monkeypatch.setattr(_compiled, "lbfgsb", recording)
         data = small_dataset(**data)
         cfg = FitConfig(baseline=baseline)
         fr = fit_unpenalized(data, cfg)
@@ -148,17 +162,15 @@ class TestFitUnpenalized:
     @pytest.mark.parametrize("baseline", ["weibull", "bernstein"])
     def test_loglik_at_the_returned_point_after_an_abnormal_line_search(
             self, monkeypatch, baseline):
-        # one step per line search ends the fit with status 2, where SciPy's
-        # res.fun is the last trial value, not the objective at res.x
-        import scipy.optimize
-        real, results = scipy.optimize.minimize, []
+        # one step per line search ends the fit with status 2, where
+        # L-BFGS-B's res.fun is the last trial value, not the objective at res.x
+        real, results = _compiled.lbfgsb, []
 
         def one_step(*args, **kwargs):
-            kwargs["options"] = dict(kwargs["options"], maxls=1)
-            results.append(real(*args, **kwargs))
+            results.append(real(*args, **dict(kwargs, maxls=1)))
             return results[-1]
 
-        monkeypatch.setattr(scipy.optimize, "minimize", one_step)
+        monkeypatch.setattr(_compiled, "lbfgsb", one_step)
         data = small_dataset(n=60, d=3, seed=54)
         fr = fit_unpenalized(data, FitConfig(baseline=baseline))
         assert [res.status for res in results] == [2]

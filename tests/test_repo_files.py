@@ -99,3 +99,22 @@ def test_ci_runs_tier1():
     for pin in ("numpy==2.4.6", "scipy==1.17.1", "pytest==9.0.3", "hypothesis==6.155.2",
                 "pyyaml==6.0.3"):
         assert pin in install
+
+
+def test_ci_pins_lie_in_the_declared_ranges():
+    # scrbar calls SciPy's private compiled L-BFGS-B and LAPACK modules
+    # (scrbar._compiled), so pyproject.toml admits only the SciPy releases
+    # CI has run the contract tests on
+    yaml = pytest.importorskip("yaml")
+    tomllib = pytest.importorskip("tomllib")
+    from packaging.requirements import Requirement
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    runs = [step.get("run", "") for job in workflow["jobs"].values() for step in job["steps"]]
+    install = next(r for r in runs if "pip install" in r).split()
+    pins = dict(arg.split("==") for arg in install if "==" in arg)
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    ranges = {req.name: req.specifier for req in map(Requirement, project["dependencies"])}
+    assert set(ranges) == {"numpy", "scipy"}
+    for name, specifier in ranges.items():
+        assert specifier.contains(pins[name]), (name, pins[name], str(specifier))
+    assert not ranges["scipy"].contains("1.18.0")

@@ -148,6 +148,16 @@ class TestPenaltyDomain:
         with pytest.raises(ValueError):
             penalized_solve(data, nu, lam, PenaltyConfig(**kw))
 
+    @pytest.mark.parametrize("max_iter", [2.0, True, "5"])
+    def test_non_integer_max_iter_refused_at_construction(self, max_iter):
+        # a float cap used to pass here and fail later inside gcv_select
+        # with a TypeError its handler does not catch; True counted as 1
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            PenaltyConfig(max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        assert PenaltyConfig(max_iter=np.int64(5)).max_iter == 5
+
 
 class TestBarSolve:
     def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted):
