@@ -9,7 +9,6 @@ import numpy as np
 
 from scrbar import (
     calibrate_censoring,
-    classify_scenario,
     derived_dims,
     scenario_diverging_p,
     simulate_dataset,
@@ -33,16 +32,16 @@ data = simulate_dataset(scen)
 print(f"simulated {len(data)} subjects, dims {data.dims}")
 print("structural violations:", validate_dataset(data) or "none")
 
-counts = {}
-for rec in data.records:
-    s = classify_scenario(rec).value
-    counts[s] = counts.get(s, 0) + 1
+# the four observation scenarios are the (delta1, delta2) pairs; column
+# statistics come straight from the stored arrays
+arr = data.arrays()
+mix = {"both_observed": (1, 1), "nonterminal_then_censored": (1, 0),
+       "terminal_only": (0, 1), "none_observed": (0, 0)}
 print("\nobservation mix:")
-for name, k in sorted(counts.items()):
+for name, (d1, d2) in sorted(mix.items()):
+    k = int(np.sum((arr["delta1"] == d1) & (arr["delta2"] == d2)))
     print(f"  {name:<28s} {k:4d}  ({k / len(data):.1%})")
 
-# column statistics come straight from the stored arrays
-arr = data.arrays()
 censored = np.mean(1 - arr["delta2"])
 print(f"\nempirical terminal-event censoring: {censored:.1%}")
 sojourns = (arr["y2"] - arr["y1"])[arr["delta1"] == 1]

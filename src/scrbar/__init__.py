@@ -23,10 +23,8 @@ from .domain import (
     Dataset,
     ModelParameters,
     NuisanceParameters,
-    ObservationScenario,
     RegressionCoefficients,
     SubjectRecord,
-    classify_scenario,
     validate_dataset,
 )
 from .estimation import FitConfig, FitResult, bic_degree_select, fit_unpenalized
@@ -62,7 +60,6 @@ from .datagen import (
     scenario_diverging_p,
     scenario_grouped,
     simulate_dataset,
-    simulate_subject,
 )
 
 __version__ = "0.1.0"

@@ -136,7 +136,7 @@ class BernsteinBaselineSet:
     def log_cumhaz(self, t, j: int):
         """log Lambda_j at times t in [0, u_j] by 32-point Gauss-Legendre
         quadrature, as an array."""
-        table = _BernsteinTable(t, self.degrees[j - 1], self.supports[j - 1])
+        table = _BernsteinTable([(t, self.degrees[j - 1], self.supports[j - 1])])
         return table.log_cumhaz(table.scores(self.coeffs[j - 1]))
 
 
@@ -271,12 +271,13 @@ class _BernsteinTable:
     With the times fixed the basis values at every node are constants, so
     only the coefficient vector phi moves between evaluations.
 
-    A table holds one block of times under one basis, or several blocks
-    side by side (``stack``), each with its own degree, support and
-    coefficients.  Each block evaluates its distinct times once: ``log_cumhaz``
-    and ``dlog_cumhaz`` gather the answers back to the block's times through
-    ``np.unique``'s inverse, and skip the gather when every time is distinct.
-    A block of sojourn times that are mostly 0 is then a few columns wide.
+    ``_BernsteinTable(blocks)`` holds the (t, m, support) blocks side by
+    side, in that order, each with its own times, degree, support and
+    coefficients; a one-shot evaluation is a table of one block.  Each block
+    evaluates its distinct times once: ``log_cumhaz`` and ``dlog_cumhaz``
+    gather the answers back to the block's times through ``np.unique``'s
+    inverse, and skip the gather when every time is distinct.  A block of
+    sojourn times that are mostly 0 is then a few columns wide.
 
     The layout is node-major: row q n + i of a block's basis ``B[k]``, shape
     (32 n, m+1), is the basis at node q of its distinct time i, so
@@ -291,17 +292,7 @@ class _BernsteinTable:
     contraction, built on first use.
     """
 
-    def __init__(self, t, m, support):
-        self._build([(t, m, support)])
-
-    @classmethod
-    def stack(cls, blocks):
-        """One table over the (t, m, support) blocks, in that order."""
-        table = cls.__new__(cls)
-        table._build(blocks)
-        return table
-
-    def _build(self, blocks):
+    def __init__(self, blocks):
         x, self.log_w = _gauss_legendre()
         self.B, self.inverse, self.cols, half_t = [], [], [], []
         start = 0

@@ -5,7 +5,7 @@ followed by per-transition covariate blocks ``z1_1..z1_d1, z2_1..z2_d2,
 z3_1..z3_d3``; the shorthand ``z_1..z_d`` is accepted and expanded to all
 three blocks.  UTF-8, '.' decimal, no thousands separators.
 
-Exit codes: 0 success, 1 usage/schema error, 2 numerical failure.
+Exit codes: 0 success, 1 usage, schema or file error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -67,6 +67,15 @@ class SchemaError(ValueError):
     """Malformed input CSV or config file (exit code 1)."""
 
 
+def _lines(path, fh):
+    """The lines of the text file ``fh`` opened from ``path``; a byte that
+    is not UTF-8 raises SchemaError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 # ---------------------------------------------------------------------------
 # CSV input/output
 # ---------------------------------------------------------------------------
@@ -100,7 +109,7 @@ def read_dataset_csv(path):
     skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_lines(path, fh))
         try:
             header = next(reader)
         except StopIteration:
@@ -144,7 +153,7 @@ def read_dataset_csv(path):
         raise SchemaError(f"{path}: no data rows")
     Z = np.array(cov)
     blocks = (Z, Z, Z) if shared else np.split(Z, np.cumsum([len(names1), len(names2)]), axis=1)
-    data = Dataset.from_arrays(*np.array(meta, dtype=float).T, *blocks)
+    data = Dataset(*np.array(meta, dtype=float).T, *blocks)
     problems = validate_dataset(data)
     if problems:
         raise SchemaError(f"{path}: invalid records: " + "; ".join(problems[:5]))
@@ -184,7 +193,7 @@ def standardize_covariates(data: Dataset) -> Dataset:
         sd = Z.std(axis=0, ddof=1)
         sd[sd == 0.0] = 1.0
         Zs.append((Z - Z.mean(axis=0)) / sd)
-    return Dataset.from_arrays(*(arr[k] for k in _META_COLS), *Zs)
+    return Dataset(*(arr[k] for k in _META_COLS), *Zs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +362,7 @@ _CONFIG_KEYS = {
 def _parse_kv(path):
     out = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_lines(path, fh), start=1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -520,7 +529,7 @@ def _bic_degrees(args, data, cfg) -> FitConfig:
     """``cfg`` with the Bernstein degrees chosen by BIC; writes
     ``bic_table.csv`` to the output directory."""
     cand = [(2, 2, 3), (3, 3, 3), (4, 4, 4), (5, 5, 6), (6, 6, 6)]
-    best, table = bic_degree_select(data, cand, cfg)
+    best, table = bic_degree_select(data, cand)
     rows = [(",".join(map(str, r["degrees"])), r["loglik"], r["bic"],
              r["converged"], "argmin" if r["degrees"] == best else "")
             for r in table]
@@ -746,6 +755,10 @@ def main(argv=None) -> int:
         return handler[args.command](args)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:              # a file that cannot be opened or made
+        where = f"{exc.filename}: {exc.strerror}" if exc.filename is not None else exc
+        print(f"error: {where}", file=sys.stderr)
         return 1
     except (np.linalg.LinAlgError, ArithmeticError, ScenarioError,
             RuntimeError, ValueError) as exc:

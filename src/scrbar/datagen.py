@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Dataset, RegressionCoefficients, SubjectRecord
+from .domain import Dataset, RegressionCoefficients
 
 __all__ = [
     "SimulationScenario",
@@ -27,7 +27,6 @@ __all__ = [
     "GROUP_LAYOUT",
     "gen_covariates_ar1",
     "gen_covariates_grouped",
-    "simulate_subject",
     "simulate_dataset",
     "calibrate_censoring",
     "calibrate_truncation",
@@ -181,7 +180,10 @@ def _inverse_cumhaz(x, tau, inv_alpha):
 
 def _sampler(scenario, rng):
     """The subject draw of ``scenario`` on ``rng``: a function of (z1, z2, z3)
-    returning (l, y1, delta1, y2, delta2) of one accepted subject.
+    returning (l, y1, delta1, y2, delta2) of one accepted subject.  An
+    attempt that is not observable (l >= y1) is redrawn with the covariates
+    fixed; with truncation off (trunc_upper = 0) the entry time is 0 and no
+    attempt is rejected.
 
     Each attempt draws, in this order: the gamma frailty, two uniforms for
     the race of the non-terminal and direct-terminal times, a third uniform
@@ -229,17 +231,6 @@ def _sampler(scenario, rng):
     return draw
 
 
-def simulate_subject(scenario: SimulationScenario, z1, z2, z3,
-                     rng: np.random.Generator) -> SubjectRecord:
-    """Draw one accepted subject for fixed covariates.
-
-    Event times, censoring, and truncation are redrawn until the subject is
-    observable (L < Y1); covariates stay fixed.  Truncation disabled
-    (trunc_upper = 0) means entry at time zero with no rejection.
-    """
-    return SubjectRecord(*_sampler(scenario, rng)(z1, z2, z3), z1, z2, z3)
-
-
 def _covariates(scenario, rng):
     if scenario.design == "grouped":
         return gen_covariates_grouped(scenario.n, scenario.rho, rng)
@@ -257,7 +248,7 @@ def simulate_dataset(scenario: SimulationScenario,
     Z = _covariates(scenario, rng)
     draw = _sampler(scenario, rng)
     rows = [draw(z, z, z) for z in Z]
-    return Dataset.from_arrays(*np.array(rows).T, Z, Z, Z)
+    return Dataset(*np.array(rows).T, Z, Z, Z)
 
 
 def _censoring_rate(scenario, censor_upper, seed, n_probe):

@@ -4,37 +4,25 @@ A subject in the illness-death layout carries a left-truncation time ``l``,
 a first-transition time ``y1`` with indicator ``delta1`` (non-terminal
 event), a terminal/censoring time ``y2`` with indicator ``delta2``, and one
 covariate vector per transition.  ``Dataset`` stores them as columns, which
-the numeric modules read directly; ``SubjectRecord`` is one subject as a row.
-All types are immutable after construction and safe to share across
-workers.
+the numeric modules read directly, and is built from them; ``SubjectRecord``
+is one subject as a row, which the per-record likelihood oracle reads.  All
+types are immutable after construction and safe to share across workers.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ObservationScenario",
     "SubjectRecord",
     "Dataset",
     "RegressionCoefficients",
     "NuisanceParameters",
     "ModelParameters",
-    "classify_scenario",
     "validate_dataset",
 ]
-
-
-class ObservationScenario(enum.Enum):
-    """The four observation patterns determined by (delta1, delta2)."""
-
-    BOTH_OBSERVED = "both_observed"
-    NONTERMINAL_THEN_CENSORED = "nonterminal_then_censored"
-    TERMINAL_ONLY = "terminal_only"
-    NONE_OBSERVED = "none_observed"
 
 
 _COLUMNS = ("l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")
@@ -67,19 +55,14 @@ class SubjectRecord:
         for name, cast in zip(_RECORD_FIELDS, casts):
             object.__setattr__(self, name, cast(getattr(self, name)))
 
-    @property
-    def sojourn(self) -> float:
-        """Time from the non-terminal event to y2 (0 when delta1 = 0)."""
-        return self.y2 - self.y1 if self.delta1 == 1 else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """A nonempty set of subjects stored as eight read-only float columns:
     n-vectors l, y1, delta1, y2, delta2 and n x d_k matrices Z1, Z2, Z3.
 
-    Build one from columns with ``from_arrays`` or by stacking
-    ``SubjectRecord``s with ``Dataset(records)``; ``records`` gives the rows.
+    ``Dataset(l, y1, delta1, y2, delta2, Z1, Z2, Z3)`` stores read-only float
+    copies of the given columns; ``records`` gives the rows.
     """
 
     l: np.ndarray
@@ -91,17 +74,9 @@ class Dataset:
     Z2: np.ndarray
     Z3: np.ndarray
 
-    def __init__(self, records):
-        records = tuple(records)
-        dims = [(len(r.z1), len(r.z2), len(r.z3)) for r in records]
-        for i, d in enumerate(dims):
-            if d != dims[0]:
-                raise ValueError(f"covariate length mismatch at index {i}")
-        self._store(*([getattr(r, f) for r in records] for f in _RECORD_FIELDS))
-
-    def _store(self, l, y1, delta1, y2, delta2, Z1, Z2, Z3):
-        cols = [_readonly(c) for c in (l, y1, delta1, y2, delta2)]
-        cols += [_readonly(np.atleast_2d(Z)) for Z in (Z1, Z2, Z3)]
+    def __post_init__(self):
+        cols = [_readonly(getattr(self, c)) for c in _COLUMNS[:5]]
+        cols += [_readonly(np.atleast_2d(getattr(self, c))) for c in _COLUMNS[5:]]
         n = len(cols[0])
         if n == 0 or any(c.ndim != 1 for c in cols[:5]) or any(len(c) != n for c in cols):
             raise ValueError("Dataset requires at least one record and one row per record")
@@ -109,10 +84,6 @@ class Dataset:
             object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
-        return len(self.l)
-
-    @property
-    def n(self) -> int:
         return len(self.l)
 
     @property
@@ -132,18 +103,11 @@ class Dataset:
         """The stored columns by name, without copying."""
         return {name: getattr(self, name) for name in _COLUMNS}
 
-    @staticmethod
-    def from_arrays(l, y1, delta1, y2, delta2, Z1, Z2, Z3) -> "Dataset":
-        """Dataset holding read-only float copies of the given columns."""
-        data = object.__new__(Dataset)
-        data._store(l, y1, delta1, y2, delta2, Z1, Z2, Z3)
-        return data
-
     def restrict_covariates(self, keep1, keep2, keep3) -> "Dataset":
         """New dataset keeping only the given covariate columns per transition."""
         keep1, keep2, keep3 = (np.asarray(k, dtype=int) for k in (keep1, keep2, keep3))
-        return Dataset.from_arrays(self.l, self.y1, self.delta1, self.y2, self.delta2,
-                                   self.Z1[:, keep1], self.Z2[:, keep2], self.Z3[:, keep3])
+        return Dataset(self.l, self.y1, self.delta1, self.y2, self.delta2,
+                       self.Z1[:, keep1], self.Z2[:, keep2], self.Z3[:, keep3])
 
 
 @dataclass(frozen=True)
@@ -200,19 +164,6 @@ class ModelParameters:
 
     beta: RegressionCoefficients
     nuisance: NuisanceParameters
-
-
-def classify_scenario(rec: SubjectRecord) -> ObservationScenario:
-    """Map (delta1, delta2) to the observation scenario.
-
-    (1,1) both events observed; (1,0) non-terminal then censored;
-    (0,1) terminal only; (0,0) nothing observed.
-    """
-    if rec.delta1 == 1:
-        return (ObservationScenario.BOTH_OBSERVED if rec.delta2 == 1
-                else ObservationScenario.NONTERMINAL_THEN_CENSORED)
-    return (ObservationScenario.TERMINAL_ONLY if rec.delta2 == 1
-            else ObservationScenario.NONE_OBSERVED)
 
 
 def validate_dataset(data: Dataset) -> list:

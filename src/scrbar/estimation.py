@@ -20,7 +20,7 @@ SciPy upgrade must re-pass tests/test_compiled.py, which holds the loop to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import ClassVar
 
@@ -186,7 +186,7 @@ class _Bernstein:
         # 1-2 at the entry times
         self.of_block = (0, 1, 2) if core.entry is None else (0, 1, 2, 0, 1)
         times = (*core.interval, core.entry, core.entry)
-        self.table = _BernsteinTable.stack(
+        self.table = _BernsteinTable(
             [(t, cfg.degrees[j], self.supports[j]) for t, j in zip(times, self.of_block)])
         self.ev_basis = [
             bernstein_basis_matrix(core.ev_times[j], cfg.degrees[j],
@@ -320,27 +320,29 @@ def fit_unpenalized(data: Dataset, cfg: FitConfig = FitConfig()) -> FitResult:
         grad_norm=grad_norm)
 
 
-def bic_degree_select(data: Dataset, candidates, cfg: FitConfig = FitConfig()):
+def bic_degree_select(data: Dataset, candidates):
     """Pick Bernstein degrees by BIC over a candidate list of (m1, m2, m3).
 
-    BIC(m) = -2 loglik + log(n) * [(p + 1) + sum_j (m_j + 1)].  Failed
-    candidates are kept in the table with bic = inf and excluded from the
-    argmin; ties go to the smaller total degree.
+    BIC(m) = -2 loglik + log(n) * [(p + 1) + sum_j (m_j + 1)].  Every
+    candidate is checked as a ``FitConfig`` before the first fit, so a
+    malformed one raises ValueError at once.  Candidates whose fit fails are
+    kept in the table with bic = inf and excluded from the argmin; ties go
+    to the smaller total degree.
     """
-    candidates = [tuple(int(m) for m in c) for c in candidates]
-    if not candidates:
+    configs = [FitConfig(baseline="bernstein", degrees=c) for c in candidates]
+    if not configs:
         raise ValueError("empty candidate list")
     n = len(data)
     p = data.p
     table = []
-    for degs in candidates:
-        row = {"degrees": degs, "loglik": np.nan, "bic": np.inf,
+    for cfg in configs:
+        row = {"degrees": cfg.degrees, "loglik": np.nan, "bic": np.inf,
                "converged": False, "error": ""}
         try:
-            fr = fit_unpenalized(data, replace(cfg, baseline="bernstein", degrees=degs))
+            fr = fit_unpenalized(data, cfg)
             row["loglik"] = fr.loglik
             row["converged"] = fr.converged
-            row["bic"] = -2.0 * fr.loglik + np.log(n) * ((p + 1) + sum(m + 1 for m in degs))
+            row["bic"] = -2.0 * fr.loglik + np.log(n) * ((p + 1) + sum(m + 1 for m in cfg.degrees))
         except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
             row["error"] = str(exc)
         table.append(row)

@@ -383,14 +383,13 @@ def log_likelihood(params: ModelParameters, data: Dataset, quad=None,
     return ev.loglik(params.beta.stacked)
 
 
-def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
-                            rtol: float = 1e-11) -> float:
+def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord) -> float:
     """Marginal likelihood of one record by adaptive quadrature over the
     frailty, bypassing the closed-form gamma integral entirely.
 
-    Integrates  w^(delta1+delta2) * exp(-w S) * gamma-pdf(w)  and multiplies
-    by the w-free event-hazard factors.  Serves as ground truth for
-    ``log_likelihood``.
+    Integrates  w^(delta1+delta2) * exp(-w S) * gamma-pdf(w)  to a relative
+    tolerance of 1e-11 and multiplies by the w-free event-hazard factors.
+    Serves as ground truth for ``log_likelihood``.
     """
     gamma = params.nuisance.gamma
     spec = params.nuisance.baseline
@@ -438,7 +437,7 @@ def frailty_integral_oracle(params: ModelParameters, rec: SubjectRecord,
 
     val, _ = scipy.integrate.quad(
         lambda u: np.exp(log_integrand(u) - hmax), ulo, uhi,
-        points=[u_mode], limit=500, epsabs=0.0, epsrel=rtol)
+        points=[u_mode], limit=500, epsabs=0.0, epsrel=1e-11)
     if val <= 0:
         raise ArithmeticError("frailty quadrature lost all mass")
     return float(np.exp(hmax + np.log(val) + log_a))

@@ -3,7 +3,9 @@
 Selection takes an unpenalized fit and a ``PenaltyConfig``, nothing else:
 the likelihood is evaluated at the fit's nuisance, and the penalty kind
 fixes the penalty object (``_problem``).  ``penalized_solve`` solves at one
-lambda; ``gcv_select`` walks the grid.
+lambda; ``gcv_select`` walks the grid.  The kind and the grid are the only
+settable values; the loop's tolerance and iteration cap are the constants
+``_TOL`` and ``_MAX_ITER``.
 
 All three penalties run the same loop, ``_solve``: at the current iterate
 the log-likelihood (nuisance fixed at the unpenalized estimate) is replaced
@@ -41,7 +43,6 @@ and the iterates are those of the full surrogate up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import ClassVar
 
 import numpy as np
@@ -67,6 +68,10 @@ _WEIGHT_CAP = 1e12
 # the most signed supports one L1 step solves on; in exact arithmetic none
 # repeats, so only rounding reaches it
 _MAX_SUPPORTS = 1000
+# the surrogate loop stops once the sup-norm change between iterates is
+# below _TOL, or after _MAX_ITER refreshes (then unconverged)
+_MAX_ITER = 100
+_TOL = 1e-6
 
 
 def default_lambda_grid(n: int, lo: float = 1e-3, hi: float = 1e2,
@@ -79,23 +84,15 @@ def default_lambda_grid(n: int, lo: float = 1e-3, hi: float = 1e2,
 
 @dataclass(frozen=True)
 class PenaltyConfig:
-    """Penalty kind, tuning grid, and iteration limits."""
+    """Penalty kind and tuning grid."""
 
     kind: str = "bar"                   # "bar" | "lasso" | "alasso"
     lambda_grid: np.ndarray = None      # None -> default_lambda_grid(n)
-    max_iter: int = 100
-    tol: float = 1e-6                   # sup-norm change between iterates
     zero_threshold: ClassVar[float] = 1e-6   # |b| below this is exactly 0
 
     def __post_init__(self):
         if self.kind not in _PENALTIES:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if not isinstance(self.max_iter, Integral) or isinstance(self.max_iter, bool):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.tol < np.inf:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
         if self.lambda_grid is not None:
             grid = np.asarray(self.lambda_grid, dtype=float)
             if grid.ndim != 1 or grid.size == 0 or not np.all((grid > 0) & (grid < np.inf)):
@@ -285,23 +282,24 @@ _PENALTIES = {
 }
 
 
-def _solve(ev, beta_init, lam, cfg, pen):
+def _solve(ev, beta_init, lam, pen):
     """The surrogate loop: from ``pen.start(beta_init)``, the penalty's
-    refresh and step (``pen.step``) until the iterates stabilize.  It
-    converges then, unless the last step did not finish.  ``pseudo_data``,
+    refresh and step (``pen.step``) until the iterates stabilize, at most
+    ``_MAX_ITER`` times.  It converges then, unless the last step did not
+    finish.  ``pseudo_data``,
     ``bar_step`` and ``_l1_step`` are looked up on this module per call, so
     wrappers set there see each."""
     beta = pen.start(beta_init)
     converged, jitter = False, 0.0
-    for n_iter in range(1, cfg.max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         beta_new, step_jitter, finished = pen.step(ev, beta, lam)
         jitter = max(jitter, step_jitter)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
-        if delta < cfg.tol:
+        if delta < _TOL:
             converged = finished
             break
-    beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
+    beta = np.where(np.abs(beta) >= PenaltyConfig.zero_threshold, beta, 0.0)
     return PenalizedEstimate(beta_hat=beta, support=np.flatnonzero(beta != 0.0),
                              lam=float(lam), n_iter=n_iter,
                              objective=-ev.loglik(beta) + lam * pen.penalty(beta),
@@ -324,7 +322,7 @@ def penalized_solve(data: Dataset, nu_tilde, lam: float, cfg: PenaltyConfig = Pe
         raise ValueError(f"lambda must be non-negative and finite, got {lam!r}")
     ev, pen = _problem(data, nu_tilde, cfg)
     start = nu_tilde.params.beta.stacked if beta_init is None else beta_init
-    return _solve(ev, start, lam, cfg, pen)
+    return _solve(ev, start, lam, pen)
 
 
 def effective_params(beta_hat, H_at_hat, lam: float, weights) -> float:
@@ -366,7 +364,7 @@ def gcv_select(data: Dataset, nu_tilde, cfg: PenaltyConfig = PenaltyConfig()) ->
                "loglik": np.nan, "gcv": np.nan, "ok": False, "note": "",
                "converged": np.nan, "n_iter": np.nan, "jitter": np.nan}
         try:
-            est = _solve(ev, beta_start, lam, cfg, pen)
+            est = _solve(ev, beta_start, lam, pen)
             ll = ev.loglik(est.beta_hat)
             s = effective_params(est.beta_hat, ev.hessian(est.beta_hat), lam, pen.weights)
             row.update(n_selected=int(est.support.size), s=s, loglik=ll,

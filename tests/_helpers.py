@@ -7,6 +7,7 @@ import scipy.special
 
 from scrbar import (
     BernsteinBaselineSet,
+    Dataset,
     ModelParameters,
     NuisanceParameters,
     RegressionCoefficients,
@@ -34,6 +35,12 @@ def small_scenario(n=20, d=3, seed=0, gamma=0.25, censor_upper=25.0,
 
 def small_dataset(n=20, d=3, seed=0, **kw):
     return simulate_dataset(small_scenario(n=n, d=d, seed=seed, **kw))
+
+
+def dataset_of(records):
+    """The dataset of the given ``SubjectRecord`` rows, stacked into columns."""
+    cols = zip(*((r.l, r.y1, r.delta1, r.y2, r.delta2, r.z1, r.z2, r.z3) for r in records))
+    return Dataset(*(np.array(c) for c in cols))
 
 
 def random_params(data, rng, baseline="weibull", gamma=None, degrees=(2, 2, 3)):

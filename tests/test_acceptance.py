@@ -144,15 +144,17 @@ def test_criterion_3_bernstein_properties():
         assert np.max(np.abs(ref - v32) / v32) < 1e-8
 
 
-def test_criterion_4_bar_mechanics():
+def test_criterion_4_bar_mechanics(monkeypatch):
     t0 = time.time()
     with _Check(4, "BAR Newton fixed point, scalar brute force, freeze"):
         # lambda = 0 fixed point equals the Newton step of the refreshed
         # surrogate at the solution
         data = small_dataset(n=60, d=4, seed=3200)
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
-        from scrbar.selection import penalized_solve
-        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
+        from scrbar import selection
+        monkeypatch.setattr(selection, "_TOL", 1e-12)
+        monkeypatch.setattr(selection, "_MAX_ITER", 300)
+        est = selection.penalized_solve(data, nu, 0.0, PenaltyConfig())
         ev = BetaLikelihood(data, nu.params.nuisance)
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
                          ev.hessian(est.beta_hat))

@@ -158,7 +158,7 @@ class TestCumulativeHazard:
         # the rule is fixed, not a setting
         import scrbar
         assert not hasattr(scrbar, "QuadratureRule")
-        table = _BernsteinTable(np.array([0.5, 2.0]), 3, (0.0, 4.0))
+        table = _BernsteinTable([(np.array([0.5, 2.0]), 3, (0.0, 4.0))])
         # node-major: row q * n + i of a block's basis is node q of time i;
         # the transposed basis is built with the first derivative
         table.dlog_cumhaz(table.scores(np.zeros(4)))
@@ -308,7 +308,7 @@ class TestNodeMajorTable:
         t = u * rng.random(n)
         t[rng.random(n) < 0.1] = 0.0            # zero times: log Lambda = -inf
         phi = rng.normal(0.0, 3.0, m + 1)
-        table, ref = _BernsteinTable(t, m, (0.0, u)), _TimeMajorTable(t, m, (0.0, u))
+        table, ref = _BernsteinTable([(t, m, (0.0, u))]), _TimeMajorTable(t, m, (0.0, u))
         scores = table.scores(phi)
         assert np.array_equal(table.log_cumhaz(scores), ref.log_cumhaz(phi))
         d, want = table.dlog_cumhaz(scores), ref.dlog_cumhaz(phi)
@@ -337,7 +337,7 @@ class TestStackedTable:
                 t = rng.choice(pool, n)
             blocks.append((t, m, (0.0, u)))
             phis.append(rng.normal(0.0, 3.0, m + 1))
-        table = _BernsteinTable.stack(blocks)
+        table = _BernsteinTable(blocks)
         scores = table.scores(*phis)
         for j, ((t, m, support), phi) in enumerate(zip(blocks, phis)):
             ref = _TimeMajorTable(t, m, support)
@@ -347,8 +347,8 @@ class TestStackedTable:
 
     def test_each_distinct_time_is_one_column(self):
         t = np.array([0.0, 2.0, 0.0, 1.0, 2.0, 0.0])
-        table = _BernsteinTable.stack([(t, 2, (0.0, 4.0)), (np.zeros(5), 3, (0.0, 4.0)),
-                                       (np.array([3.0, 1.0]), 1, (0.0, 4.0))])
+        table = _BernsteinTable([(t, 2, (0.0, 4.0)), (np.zeros(5), 3, (0.0, 4.0)),
+                                 (np.array([3.0, 1.0]), 1, (0.0, 4.0))])
         assert [c.stop - c.start for c in table.cols] == [3, 1, 2]
         assert table.scores(np.zeros(3), np.zeros(4), np.zeros(2)).a.shape == (32, 6)
         # every time distinct: no gather, and the times keep their order

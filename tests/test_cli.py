@@ -10,7 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from scrbar import Dataset, fit_unpenalized, simulate_dataset
+from scrbar import (
+    Dataset,
+    PenaltyConfig,
+    default_lambda_grid,
+    fit_unpenalized,
+    gcv_select,
+    simulate_dataset,
+)
 from scrbar.cli import (
     SchemaError,
     main,
@@ -20,6 +27,7 @@ from scrbar.cli import (
     write_dataset_csv,
 )
 from scrbar.estimation import FitConfig
+from scrbar.likelihood import BetaLikelihood
 from _helpers import small_dataset, small_scenario
 
 
@@ -113,7 +121,7 @@ def valid_datasets(draw, shared, truncated):
     Z = [draw(arrays(float, (n, d), elements=finite)) for d in dims]
     if shared:
         Z = [Z[0]] * 3
-    return Dataset.from_arrays(*np.array(rows, dtype=float).T, *Z)
+    return Dataset(*np.array(rows, dtype=float).T, *Z)
 
 
 class TestCsvRoundTripFuzz:
@@ -158,7 +166,7 @@ class TestFitCommand:
         from scrbar.estimation import bic_degree_select as real_bic
         # narrow the candidate list for runtime
         monkeypatch.setattr(cli_mod, "bic_degree_select",
-                            lambda d, cand, cfg: real_bic(d, [(2, 2, 3), (5, 5, 6)], cfg))
+                            lambda d, cand: real_bic(d, [(2, 2, 3), (5, 5, 6)]))
         rc = main(["fit", str(path), "--baseline", "bernstein",
                    "--degrees", "bic", "--out", str(out)])
         assert rc == 0
@@ -305,7 +313,7 @@ class TestSelectCommand:
         from scrbar.estimation import bic_degree_select as real_bic
         # narrow the candidate list for runtime
         monkeypatch.setattr(cli_mod, "bic_degree_select",
-                            lambda d, cand, cfg: real_bic(d, [(2, 2, 3), (5, 5, 6)], cfg))
+                            lambda d, cand: real_bic(d, [(2, 2, 3), (5, 5, 6)]))
         fitted = []
         real_fit = cli_mod.fit_unpenalized
         monkeypatch.setattr(cli_mod, "fit_unpenalized",
@@ -357,6 +365,31 @@ class TestUnequalBlocks:
         assert [row[0] for row in sel_rows] == [nm for nm, _, _ in expected]
         shown = [row[1 + k] for row, (_, k, _) in zip(sel_rows, expected)]
         assert sum(cell != "-" for cell in shown) == n_sel
+
+    @pytest.mark.parametrize("method", ["bar", "lasso"])
+    def test_select_matches_in_process_gcv(self, sim_csv, tmp_path, method):
+        # per-transition covariates take the Hessian's V'V - M∘U'U route,
+        # which no benchmark workload reaches: the CLI must choose the lambda
+        # and support that gcv_select chooses on the dataset it reads
+        data = sim_csv[1].restrict_covariates([0, 1, 2, 3], [0, 1], [0, 1, 2])
+        path = tmp_path / "blocks.csv"
+        write_dataset_csv(path, data, shared=False)
+        out = tmp_path / "out"
+        assert main(["select", str(path), "--method", method, "--baseline", "weibull",
+                     "--lambda-count", "8", "--out", str(out)]) == 0
+
+        back, names = read_dataset_csv(str(path))
+        nu = fit_unpenalized(back, FitConfig(baseline="weibull"))
+        assert BetaLikelihood(back, nu.params.nuisance).core.gram is None
+        grid = default_lambda_grid(len(back), count=8)
+        res = gcv_select(back, nu, PenaltyConfig(kind=method, lambda_grid=grid))
+        report = (out / "selection_report.txt").read_text()
+        assert report.split("chosen lambda: ")[1].splitlines()[0] == f"{res.best_lambda:.6g}"
+        labels = [(k, nm) for k, block in enumerate(names) for nm in block]
+        want = {labels[i] for i in res.best.support}
+        got = {(k, row[0]) for row in _report_table(out / "selection_report.txt")
+               for k in range(3) if row[1 + k] not in ("", "-")}
+        assert got == want and 0 < len(want) < back.p
 
 
 class TestOracleFit:
@@ -636,6 +669,29 @@ class TestImportCost:
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize("case", ["missing csv", "missing config", "csv is a directory",
+                                      "out is a file", "csv not utf-8", "config not utf-8"])
+    def test_file_error_is_one(self, toy_csv, tmp_path, monkeypatch, capsys, case):
+        import scrbar.cli as cli_mod
+        monkeypatch.setattr(cli_mod, "fit_unpenalized", _must_not_run)
+        monkeypatch.setattr(cli_mod, "calibrate_censoring", _must_not_run)
+        csv_path, _ = toy_csv
+        missing, a_file, binary = tmp_path / "missing", tmp_path / "a_file", tmp_path / "binary"
+        a_file.write_text("")
+        binary.write_bytes(b"l,y1,delta1,y2,delta2,z_1\n\xff\n")
+        argv, where, reason = {
+            "missing csv": (["select", str(missing)], missing, "No such file or directory"),
+            "missing config": (["simulate", str(missing)], missing,
+                               "No such file or directory"),
+            "csv is a directory": (["fit", str(tmp_path)], tmp_path, "Is a directory"),
+            "out is a file": (["select", csv_path, "--out", str(a_file)], a_file,
+                              "File exists"),
+            "csv not utf-8": (["select", str(binary)], binary, "not UTF-8 text"),
+            "config not utf-8": (["simulate", str(binary)], binary, "not UTF-8 text"),
+        }[case]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {where}: {reason}")
 
     def test_numerical_failure_is_two(self, tmp_path):
         # 8 rows but 13 parameters: the sample-size precondition trips

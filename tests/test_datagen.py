@@ -13,12 +13,11 @@ from scrbar import (
     scenario_diverging_p,
     scenario_grouped,
     simulate_dataset,
-    simulate_subject,
     validate_dataset,
 )
 from scrbar.baselines import weibull_inverse_cumhaz
 from scrbar.datagen import (GROUP_LAYOUT, ScenarioError, _censoring_rate,
-                            _covariates, calibrate_truncation)
+                            _covariates, _sampler, calibrate_truncation)
 from _helpers import small_scenario
 
 
@@ -105,32 +104,33 @@ class TestSimulateSubject:
             gamma=1e-8, censor_upper=1e9, trunc_upper=0.0, seed=0)
         rng = np.random.default_rng(8)
         z = np.zeros(1)
-        wins = sum(simulate_subject(scen, z, z, z, rng).delta1
-                   for _ in range(10000))
+        draw = _sampler(scen, rng)
+        wins = sum(draw(z, z, z)[2] for _ in range(10000))
         assert abs(wins / 10000 - 1.0 / 3.0) < 0.02
 
     def test_immediate_censoring(self):
         scen = replace(small_scenario(n=1), censor_upper=1e-300, trunc_upper=0.0)
         rng = np.random.default_rng(9)
         z = np.zeros(len(scen.beta.beta1))
-        rec = simulate_subject(scen, z, z, z, rng)
-        assert (rec.delta1, rec.delta2) == (0, 0)
-        assert rec.y1 == rec.y2 <= 1e-300
+        _, y1, delta1, y2, delta2 = _sampler(scen, rng)(z, z, z)
+        assert (delta1, delta2) == (0, 0)
+        assert y1 == y2 <= 1e-300
 
     def test_truncation_rejection_keeps_l_below_y1(self):
         scen = small_scenario(n=1, trunc_upper=2.0, seed=10)
         rng = np.random.default_rng(10)
         z = np.zeros(len(scen.beta.beta1))
+        draw = _sampler(scen, rng)
         for _ in range(200):
-            rec = simulate_subject(scen, z, z, z, rng)
-            assert rec.l < rec.y1
+            l, y1, *_ = draw(z, z, z)
+            assert l < y1
 
     def test_hopeless_truncation_raises(self):
         scen = replace(small_scenario(n=1), trunc_upper=1e12)
         rng = np.random.default_rng(11)
         z = np.zeros(len(scen.beta.beta1))
         with pytest.raises(ScenarioError):
-            simulate_subject(scen, z, z, z, rng)
+            _sampler(scen, rng)(z, z, z)
 
 
 class TestSimulateDataset:
@@ -259,10 +259,10 @@ class TestSamplerMatchesReference:
         for seed in range(4):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             attempts = []
+            draw = _sampler(scen, rng)
             for _ in range(50):
                 z1, z2, z3 = z_rng.normal(size=(3, 4))
-                rec = simulate_subject(scen, z1, z2, z3, rng)
-                got = np.array([rec.l, rec.y1, rec.delta1, rec.y2, rec.delta2])
+                got = np.array(draw(z1, z2, z3))
                 want = np.array(_reference_subject(scen, z1, z2, z3, ref_rng, attempts))
                 assert got.tobytes() == want.tobytes()
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -273,7 +273,7 @@ class TestSamplerMatchesReference:
         z = np.full(len(scen.beta.beta1), 0.3)
         rng, ref_rng = np.random.default_rng(32), np.random.default_rng(32)
         with pytest.raises(ScenarioError) as got:
-            simulate_subject(scen, z, z, z, rng)
+            _sampler(scen, rng)(z, z, z)
         with pytest.raises(ScenarioError) as want:
             _reference_subject(scen, z, z, z, ref_rng, [])
         assert str(got.value) == str(want.value)

@@ -5,13 +5,11 @@ from hypothesis import strategies as st
 
 from scrbar import (
     Dataset,
-    ObservationScenario,
     RegressionCoefficients,
     SubjectRecord,
-    classify_scenario,
     validate_dataset,
 )
-from _helpers import small_dataset
+from _helpers import dataset_of, small_dataset
 
 
 def rec(l=0.0, y1=1.0, d1=1, y2=2.0, d2=1, d=2):
@@ -21,13 +19,13 @@ def rec(l=0.0, y1=1.0, d1=1, y2=2.0, d2=1, d=2):
 
 class TestValidate:
     def test_truncation_after_first_time(self):
-        data = Dataset([rec(l=2.0, y1=1.0, d1=0, y2=1.0, d2=0)])
+        data = dataset_of([rec(l=2.0, y1=1.0, d1=0, y2=1.0, d2=0)])
         findings = validate_dataset(data)
         assert len(findings) == 1
         assert "l < y1" in findings[0] and "index 0" in findings[0]
 
     def test_censored_first_requires_equal_times(self):
-        data = Dataset([rec(l=0.0, y1=3.0, d1=0, y2=5.0, d2=0)])
+        data = dataset_of([rec(l=0.0, y1=3.0, d1=0, y2=5.0, d2=0)])
         findings = validate_dataset(data)
         assert any("y1=y2" in f for f in findings)
 
@@ -39,23 +37,18 @@ class TestValidate:
         for seed in range(5):
             assert validate_dataset(small_dataset(n=30, seed=seed)) == []
 
-    def test_covariate_length_mismatch(self):
-        bad = SubjectRecord(0.0, 1.0, 1, 2.0, 1, np.zeros(3), np.zeros(2), np.zeros(2))
-        with pytest.raises(ValueError, match="mismatch at index 1"):
-            Dataset([rec(), bad])
-
     def test_nonfinite_covariate(self):
         bad = SubjectRecord(0.0, 1.0, 0, 1.0, 0, [np.nan, 0.0], np.zeros(2), np.zeros(2))
         assert any("non-finite covariate" in f
-                   for f in validate_dataset(Dataset([bad])))
+                   for f in validate_dataset(dataset_of([bad])))
 
     def test_zero_sojourn_is_legal_only_when_censored(self):
-        assert validate_dataset(Dataset([rec(y1=2.0, y2=2.0, d1=1, d2=0)])) == []
-        data = Dataset([rec(), rec(y1=2.0, y2=2.0, d1=1, d2=1)])
+        assert validate_dataset(dataset_of([rec(y1=2.0, y2=2.0, d1=1, d2=0)])) == []
+        data = dataset_of([rec(), rec(y1=2.0, y2=2.0, d1=1, d2=1)])
         assert validate_dataset(data) == ["δ1=δ2=1 requires y1 < y2 at index 1"]
 
     def test_never_raises(self):
-        data = Dataset([rec(l=-1.0, y1=np.inf, d1=2, y2=-3.0, d2=0)])
+        data = dataset_of([rec(l=-1.0, y1=np.inf, d1=2, y2=-3.0, d2=0)])
         assert validate_dataset(data)  # findings, no exception
 
 
@@ -95,25 +88,8 @@ class TestValidateColumns:
         cov = st.one_of(st.sampled_from([np.nan, -np.inf]), st.floats(-2.0, 2.0))
         Z = [draw.draw(st.lists(st.lists(cov, min_size=d, max_size=d), min_size=n, max_size=n))
              for d in (1, 2, 1)]
-        data = Dataset.from_arrays(*cols, *Z)
+        data = Dataset(*cols, *Z)
         assert validate_dataset(data) == _validate_by_loop(data)
-
-
-class TestClassify:
-    @pytest.mark.parametrize("d1,d2,expected", [
-        (1, 1, ObservationScenario.BOTH_OBSERVED),
-        (1, 0, ObservationScenario.NONTERMINAL_THEN_CENSORED),
-        (0, 1, ObservationScenario.TERMINAL_ONLY),
-        (0, 0, ObservationScenario.NONE_OBSERVED),
-    ])
-    def test_all_four_scenarios(self, d1, d2, expected):
-        y2 = 2.0 if d1 == 1 else 1.0
-        assert classify_scenario(rec(d1=d1, d2=d2, y2=y2)) is expected
-
-    @given(st.integers(0, 1), st.integers(0, 1))
-    def test_total_function(self, d1, d2):
-        assert isinstance(classify_scenario(rec(d1=d1, d2=d2, y2=2.0)),
-                          ObservationScenario)
 
 
 class TestTypes:
@@ -126,7 +102,7 @@ class TestTypes:
 
     def test_dataset_requires_records(self):
         with pytest.raises(ValueError):
-            Dataset([])
+            Dataset(*[np.zeros(0)] * 5, *[np.zeros((0, 2))] * 3)
 
     def test_stacking_round_trip(self):
         rng = np.random.default_rng(0)
@@ -135,10 +111,6 @@ class TestTypes:
         back = RegressionCoefficients.from_stacked(b.stacked, b.dims)
         np.testing.assert_array_equal(back.beta2, b.beta2)
         assert b.stacked.shape == (9,)
-
-    def test_sojourn(self):
-        assert rec(y1=1.0, y2=3.5, d1=1).sojourn == 2.5
-        assert rec(y1=3.0, y2=3.0, d1=0).sojourn == 0.0
 
     def test_columns_stored_once_read_only_in_c_order(self):
         data = small_dataset(n=6, d=4).restrict_covariates([0, 2], [1], [0, 1, 3])

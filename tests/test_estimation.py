@@ -306,6 +306,28 @@ class TestBicDegreeSelect:
         best, _ = bic_degree_select(data, [(4, 4, 4), (2, 2, 2)])
         assert best == (2, 2, 2)
 
+    @pytest.mark.parametrize("bad", [(2.5, 2, 3), (True, 1, 1), (2, 2), (2, -1, 3)],
+                             ids=["float", "bool", "two-degrees", "negative"])
+    def test_malformed_candidate_refused_before_any_fit(self, monkeypatch, bad):
+        # a non-integer degree used to be truncated, (2.5, 2, 3) fitted as
+        # (2, 2, 3), and a malformed one logged as a failed fit
+        import scrbar.estimation as est
+        fits = []
+
+        def fake_fit(data, cfg):
+            fits.append(cfg.degrees)
+
+            class R:
+                loglik = -100.0
+                converged = True
+            return R()
+
+        monkeypatch.setattr(est, "fit_unpenalized", fake_fit)
+        data = small_dataset(n=40, d=3, seed=59)
+        with pytest.raises(ValueError, match="Bernstein degrees"):
+            bic_degree_select(data, [(2, 2, 2), bad])
+        assert fits == []
+
     def test_failed_candidates_excluded(self, monkeypatch):
         import scrbar.estimation as est
         real = est.fit_unpenalized
@@ -354,7 +376,7 @@ def _variant(data, sojourns=None, untruncated_every=None):
         d1[drop], y2[drop] = 0.0, data.y1[drop]
     if untruncated_every is not None:
         l[::untruncated_every] = 0.0
-    return Dataset.from_arrays(l, data.y1, d1, y2, data.delta2, data.Z1, data.Z2, data.Z3)
+    return Dataset(l, data.y1, d1, y2, data.delta2, data.Z1, data.Z2, data.Z3)
 
 
 class TestStackedBernsteinObjective:

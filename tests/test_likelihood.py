@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from scrbar import (
     Dataset,
     ModelParameters,
-    ObservationScenario,
     RegressionCoefficients,
     SubjectRecord,
-    classify_scenario,
     frailty_integral_oracle,
     log_likelihood,
     pseudo_data,
@@ -18,7 +16,7 @@ from scrbar import (
 from scrbar.cli import read_dataset_csv, write_dataset_csv
 from scrbar.baselines import _col_logsumexp
 from scrbar.likelihood import BetaLikelihood, DegenerateRecordError, _Core, _Point
-from _helpers import CALENDAR, random_params, small_dataset, unit_weibull
+from _helpers import CALENDAR, dataset_of, random_params, small_dataset, unit_weibull
 
 
 def zero_beta(dims):
@@ -58,7 +56,7 @@ class TestLogLikelihood:
         gamma = 0.7
         params = ModelParameters(
             RegressionCoefficients([0.5], [0.2], [0.1]), unit_weibull(gamma))
-        data = Dataset([rec])
+        data = dataset_of([rec])
         g2 = risk_terms(rec, params).g2
         expected = -(1.0 / gamma) * np.log1p(gamma * g2)
         assert log_likelihood(params, data) == pytest.approx(expected, rel=1e-12)
@@ -72,16 +70,15 @@ class TestLogLikelihood:
         ref = 0.0
         for rec in data.records:
             rt = risk_terms(rec, params)
-            scen = classify_scenario(rec)
             spec = params.nuisance.baseline
             b = params.beta
             if rec.delta1 == 1:
                 lam1 = spec.alpha[0] * spec.tau[0] * rec.y1 ** (spec.alpha[0] - 1)
                 ref += np.log(lam1) + b.beta1 @ rec.z1
-            if scen is ObservationScenario.TERMINAL_ONLY:
+            if rec.delta1 == 0 and rec.delta2 == 1:
                 lam2 = spec.alpha[1] * spec.tau[1] * rec.y2 ** (spec.alpha[1] - 1)
                 ref += np.log(lam2) + b.beta2 @ rec.z2
-            if scen is ObservationScenario.BOTH_OBSERVED:
+            if rec.delta1 == 1 and rec.delta2 == 1:
                 soj = rec.y2 - rec.y1
                 lam3 = spec.alpha[2] * spec.tau[2] * soj ** (spec.alpha[2] - 1)
                 ref += np.log(lam3) + b.beta3 @ rec.z3
@@ -104,10 +101,10 @@ class TestLogLikelihood:
         params = random_params(data, np.random.default_rng(4))
         total = log_likelihood(params, data)
         parts = 0.0
-        for scen in ObservationScenario:
-            recs = [r for r in data.records if classify_scenario(r) is scen]
+        for scen in ((1, 1), (1, 0), (0, 1), (0, 0)):
+            recs = [r for r in data.records if (r.delta1, r.delta2) == scen]
             if recs:
-                parts += log_likelihood(params, Dataset(recs))
+                parts += log_likelihood(params, dataset_of(recs))
         assert total == pytest.approx(parts, rel=1e-12)
 
     def test_degenerate_record_rejected_with_index(self):
@@ -115,7 +112,7 @@ class TestLogLikelihood:
         bad = SubjectRecord(0.0, 2.0, 1, 2.0, 1, [0.0], [0.0], [0.0])
         params = ModelParameters(zero_beta((1, 1, 1)), unit_weibull())
         with pytest.raises(DegenerateRecordError, match="index 1"):
-            log_likelihood(params, Dataset([ok, bad]))
+            log_likelihood(params, dataset_of([ok, bad]))
 
     def test_nonfinite_beta_rejected(self):
         data = small_dataset(n=5)
@@ -141,8 +138,8 @@ class TestOracle:
     def test_both_observed_self_consistency(self):
         rec = SubjectRecord(0.1, 1.0, 1, 2.5, 1, [0.4], [-0.3], [0.2])
         rng = np.random.default_rng(21)
-        params = random_params(Dataset([rec]), rng, gamma=0.5)
-        contrib = log_likelihood(params, Dataset([rec]))
+        params = random_params(dataset_of([rec]), rng, gamma=0.5)
+        contrib = log_likelihood(params, dataset_of([rec]))
         oracle = frailty_integral_oracle(params, rec)
         assert np.exp(contrib) == pytest.approx(oracle, rel=1e-8)
 
@@ -151,7 +148,7 @@ class TestDerivatives:
     def test_zero_covariates_zero_gradient(self):
         recs = [SubjectRecord(0.0, 1.0, 1, 2.0, 1, np.zeros(3), np.zeros(3), np.zeros(3)),
                 SubjectRecord(0.0, 2.0, 0, 2.0, 0, np.zeros(3), np.zeros(3), np.zeros(3))]
-        data = Dataset(recs)
+        data = dataset_of(recs)
         params = random_params(data, np.random.default_rng(1))
         ev = BetaLikelihood(data, params.nuisance)
         np.testing.assert_array_equal(ev.gradient(params.beta.stacked), np.zeros(9))
@@ -162,7 +159,7 @@ class TestDerivatives:
         params = random_params(data, np.random.default_rng(7))
         b = params.beta.stacked
         g1 = BetaLikelihood(data, params.nuisance).gradient(b)
-        doubled = Dataset(list(data.records) * 2)
+        doubled = dataset_of(list(data.records) * 2)
         np.testing.assert_allclose(BetaLikelihood(doubled, params.nuisance).gradient(b),
                                    2.0 * g1, rtol=1e-12)
 
@@ -349,7 +346,7 @@ class TestRowOrder:
         data = small_dataset(n=25, seed=seed)
         params = random_params(data, np.random.default_rng(seed), baseline=baseline)
         arr = data.arrays()
-        shuffled = Dataset.from_arrays(*(arr[k][list(perm)] for k in (
+        shuffled = Dataset(*(arr[k][list(perm)] for k in (
             "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
         assert log_likelihood(params, shuffled) == pytest.approx(
             log_likelihood(params, data), rel=1e-12)
@@ -718,7 +715,7 @@ class TestCoreInvariants:
         part = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
         part[0], part[-1] = True, False          # both parts nonempty
         arr = ds.arrays()
-        parts = [Dataset.from_arrays(*(arr[k][mask] for k in (
+        parts = [Dataset(*(arr[k][mask] for k in (
             "l", "y1", "delta1", "y2", "delta2", "Z1", "Z2", "Z3")))
             for mask in (part, ~part)]
         evs = [BetaLikelihood(x, params.nuisance) for x in [ds] + parts]
@@ -748,9 +745,9 @@ class TestCoreInvariants:
         params = random_params(data, rng)
         c = np.exp(log_c)
         arr = data.arrays()
-        scaled = Dataset.from_arrays(c * arr["l"], c * arr["y1"], arr["delta1"],
-                                     c * arr["y2"], arr["delta2"],
-                                     arr["Z1"], arr["Z2"], arr["Z3"])
+        scaled = Dataset(c * arr["l"], c * arr["y1"], arr["delta1"],
+                         c * arr["y2"], arr["delta2"],
+                         arr["Z1"], arr["Z2"], arr["Z3"])
         if baseline == "weibull":
             spec = params.nuisance.baseline
             moved = WeibullBaselineSet(spec.log_alpha, spec.log_tau - spec.alpha * log_c)

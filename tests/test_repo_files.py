@@ -101,6 +101,15 @@ def test_ci_runs_tier1():
         assert pin in install
 
 
+def test_ci_jobs_have_a_time_limit():
+    # GitHub's default is 6 hours: a hung process pool or Hypothesis search
+    # would hold a runner that long
+    yaml = pytest.importorskip("yaml")
+    workflow = yaml.safe_load((ROOT / ".github" / "workflows" / "tier1.yml").read_text())
+    limits = [job.get("timeout-minutes") for job in workflow["jobs"].values()]
+    assert all(isinstance(m, int) and 10 <= m <= 60 for m in limits), limits
+
+
 def test_ci_pins_lie_in_the_declared_ranges():
     # scrbar calls SciPy's private compiled L-BFGS-B and LAPACK modules
     # (scrbar._compiled), so pyproject.toml admits only the SciPy releases

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scrbar import (
-    Dataset,
     PenalizedEstimate,
     PenaltyConfig,
     SubjectRecord,
@@ -22,7 +21,7 @@ from scrbar.estimation import FitConfig
 from scrbar.likelihood import BetaLikelihood, PseudoData, pseudo_data
 import scrbar.selection as selection_mod
 from scrbar.selection import _l1_step, l1_kkt_residual
-from _helpers import small_dataset, small_scenario
+from _helpers import dataset_of, small_dataset, small_scenario
 from scrbar.datagen import simulate_dataset
 
 
@@ -128,41 +127,29 @@ class TestBarStep:
 
 class TestPenaltyDomain:
     """Settings outside their domain are refused before any solve: a
-    negative or infinite lambda, no iterations, a tolerance that is not
-    positive and finite, and a grid that is not a 1-d array of positive
-    finite values.  lambda = 0 stays valid (the unpenalized fixed point)."""
+    negative or infinite lambda, and a grid that is not a 1-d array of
+    positive finite values.  lambda = 0 stays valid (the unpenalized fixed
+    point)."""
 
     @pytest.mark.parametrize("kw, lam", [
         ({}, -1.0),
         ({}, np.inf),
-        ({"max_iter": 0}, 1.0),
-        ({"tol": np.nan}, 1.0),
-        ({"tol": np.inf}, 1.0),
         ({"lambda_grid": [np.inf]}, 1.0),
         ({"lambda_grid": [1.0, np.nan]}, 1.0),
         ({"lambda_grid": [[0.5, 1.0]]}, 1.0),
-    ], ids=["lam=-1", "lam=inf", "max_iter=0", "tol=nan", "tol=inf",
-            "grid=inf", "grid=nan", "grid-2d"])
+    ], ids=["lam=-1", "lam=inf", "grid=inf", "grid=nan", "grid-2d"])
     def test_refused(self, fitted, kw, lam):
         data, nu = fitted
         with pytest.raises(ValueError):
             penalized_solve(data, nu, lam, PenaltyConfig(**kw))
 
-    @pytest.mark.parametrize("max_iter", [2.0, True, "5"])
-    def test_non_integer_max_iter_refused_at_construction(self, max_iter):
-        # a float cap used to pass here and fail later inside gcv_select
-        # with a TypeError its handler does not catch; True counted as 1
-        with pytest.raises(ValueError, match="max_iter must be an integer"):
-            PenaltyConfig(max_iter=max_iter)
-
-    def test_numpy_integer_max_iter_accepted(self):
-        assert PenaltyConfig(max_iter=np.int64(5)).max_iter == 5
-
 
 class TestBarSolve:
-    def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted):
+    def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted, monkeypatch):
         data, nu = fitted
-        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=200))
+        monkeypatch.setattr(selection_mod, "_TOL", 1e-12)
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", 200)
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig())
         ev = BetaLikelihood(data, nu.params.nuisance)
         # at the fixed point the refreshed surrogate's minimizer is itself
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
@@ -203,17 +190,18 @@ class TestBarSolve:
             b_closed = w / (1.0 + lam / b_closed**2)
         assert b_closed == pytest.approx(b_grid, abs=1e-6)
 
-    def test_duplicated_columns_get_identical_estimates(self):
+    def test_duplicated_columns_get_identical_estimates(self, monkeypatch):
         base = small_dataset(n=80, d=3, seed=33)
         recs = [SubjectRecord(r.l, r.y1, r.delta1, r.y2, r.delta2,
                               np.r_[r.z1, r.z1[0]], r.z2, r.z3)
                 for r in base.records]
-        data = Dataset(recs)
+        data = dataset_of(recs)
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
         init = nu.params.beta.stacked.copy()
         init[0] = init[3] = 0.5 * (init[0] + init[3])   # symmetric start
-        est = penalized_solve(data, nu, 1.0, PenaltyConfig(tol=1e-10, max_iter=300),
-                              beta_init=init)
+        monkeypatch.setattr(selection_mod, "_TOL", 1e-10)
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", 300)
+        est = penalized_solve(data, nu, 1.0, PenaltyConfig(), beta_init=init)
         assert abs(est.beta_hat[0] - est.beta_hat[3]) < 1e-8
 
     def test_null_duplicates_selected_or_dropped_jointly(self):
@@ -234,7 +222,7 @@ class TestBarSolve:
                 z[3] = z[4] = z[2]
                 recs.append(SubjectRecord(r.l, r.y1, r.delta1, r.y2, r.delta2,
                                           z, z, z))
-            data = Dataset(recs)
+            data = dataset_of(recs)
             nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
             est = penalized_solve(data, nu, 2.0, PenaltyConfig())
             for k0 in (0, 5, 10):
@@ -244,9 +232,10 @@ class TestBarSolve:
 
 
 class TestL1:
-    def test_lambda_zero_gives_surrogate_minimizer(self, fitted):
+    def test_lambda_zero_gives_surrogate_minimizer(self, fitted, monkeypatch):
         data, nu = fitted
-        est = penalized_solve(data, nu, 1e-12, PenaltyConfig(kind="lasso", tol=1e-10))
+        monkeypatch.setattr(selection_mod, "_TOL", 1e-10)
+        est = penalized_solve(data, nu, 1e-12, PenaltyConfig(kind="lasso"))
         assert est.support.size == data.p
 
     def test_everything_zero_above_gradient_bound(self, fitted):
@@ -265,12 +254,13 @@ class TestL1:
             expected = np.sign(w) * max(abs(w) - lam, 0.0)
             assert b[0] == pytest.approx(expected, abs=1e-12)
 
-    def test_kkt_residual_at_convergence(self, fitted):
+    def test_kkt_residual_at_convergence(self, fitted, monkeypatch):
         data, nu = fitted
         ev = BetaLikelihood(data, nu.params.nuisance)
+        monkeypatch.setattr(selection_mod, "_TOL", 1e-9)
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", 200)
         for lam in (0.3, 2.0, 8.0):
-            est = penalized_solve(data, nu, lam, PenaltyConfig(kind="lasso", tol=1e-9,
-                                                               max_iter=200))
+            est = penalized_solve(data, nu, lam, PenaltyConfig(kind="lasso"))
             pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
                              ev.hessian(est.beta_hat))
             G, c = pd.X.T @ pd.X, pd.X.T @ pd.W
@@ -563,13 +553,13 @@ def _reference_bar_iterate(ev, beta_init, lam, cfg):
     converged = False
     n_iter = 0
     jitter = 0.0
-    for n_iter in range(1, cfg.max_iter + 1):
+    for n_iter in range(1, selection_mod._MAX_ITER + 1):
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
         jitter = max(jitter, pseudo.jitter)
         beta_new = bar_step(beta, pseudo, lam)
         delta = float(np.max(np.abs(beta_new - beta))) if beta.size else 0.0
         beta = beta_new
-        if delta < cfg.tol:
+        if delta < selection_mod._TOL:
             converged = True
             break
     beta = np.where(np.abs(beta) >= cfg.zero_threshold, beta, 0.0)
@@ -586,7 +576,7 @@ def _reference_l1_iterate(ev, beta_init, lam, cfg, weights):
     converged = False
     n_iter = 0
     jitter = 0.0
-    for n_iter in range(1, cfg.max_iter + 1):
+    for n_iter in range(1, selection_mod._MAX_ITER + 1):
         pseudo = pseudo_data(beta, ev.gradient(beta), ev.hessian(beta))
         jitter = max(jitter, pseudo.jitter)
         G = pseudo.X.T @ pseudo.X
@@ -594,7 +584,7 @@ def _reference_l1_iterate(ev, beta_init, lam, cfg, weights):
         beta_new = _reference_coordinate_descent(G, c, beta, lam, weights)
         delta = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
-        if delta < cfg.tol:
+        if delta < selection_mod._TOL:
             converged = True
             break
     support = np.flatnonzero(np.abs(beta) >= cfg.zero_threshold)
@@ -654,7 +644,7 @@ class TestSolveReference:
     @pytest.mark.parametrize("kind", ["bar", "lasso", "alasso"])
     @pytest.mark.parametrize("max_iter", [1, 100])
     @pytest.mark.parametrize("start", ["fit", "zeros"])
-    def test_solvers_match_reference(self, fitted, kind, max_iter, start):
+    def test_solvers_match_reference(self, fitted, monkeypatch, kind, max_iter, start):
         data, nu = fitted
         beta_init = nu.params.beta.stacked.copy()
         if start == "zeros":
@@ -664,7 +654,8 @@ class TestSolveReference:
             beta_init[7] = -3e-7
         ev = BetaLikelihood(data, nu.params.nuisance)
         weights = _kind_weights(kind, nu, data.p)
-        cfg = PenaltyConfig(kind=kind, max_iter=max_iter)
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", max_iter)
+        cfg = PenaltyConfig(kind=kind)
         nonconverged = 0
         for lam in (0.0, 0.3, 2.0, 9.0):
             got = penalized_solve(data, nu, lam, cfg, beta_init=beta_init)
@@ -676,10 +667,10 @@ class TestSolveReference:
 
     @pytest.mark.parametrize("kind", ["bar", "lasso", "alasso"])
     @pytest.mark.parametrize("max_iter", [1, 100])
-    def test_gcv_path_matches_reference(self, fitted, kind, max_iter):
+    def test_gcv_path_matches_reference(self, fitted, monkeypatch, kind, max_iter):
         data, nu = fitted
-        cfg = PenaltyConfig(kind=kind, max_iter=max_iter,
-                            lambda_grid=default_lambda_grid(len(data), count=8))
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", max_iter)
+        cfg = PenaltyConfig(kind=kind, lambda_grid=default_lambda_grid(len(data), count=8))
         res = gcv_select(data, nu, cfg)
         ev = BetaLikelihood(data, nu.params.nuisance)
         weights = _kind_weights(kind, nu, data.p)
@@ -735,7 +726,7 @@ class TestFitConvention:
             assert type(pen) is selection_mod._L1
             assert pen.weights.dtype == weights.dtype
             assert pen.weights.tobytes() == weights.tobytes()
-        want = selection_mod._solve(ev, nu.params.beta.stacked, 1.0, cfg, pen)
+        want = selection_mod._solve(ev, nu.params.beta.stacked, 1.0, pen)
         _assert_same_estimate(penalized_solve(truncated, nu, 1.0, cfg), want)
 
 
@@ -749,10 +740,10 @@ class TestSweepCap:
         monkeypatch.setattr(selection_mod, "_MAX_SUPPORTS", 0)
         cfg = PenaltyConfig(kind=kind, lambda_grid=np.array([0.3, 1.0]))
         est = penalized_solve(data, nu, 1.0, cfg)
-        assert est.n_iter < cfg.max_iter and not est.converged
+        assert est.n_iter < selection_mod._MAX_ITER and not est.converged
         res = gcv_select(data, nu, cfg)
         assert [row["converged"] for row in res.table] == [False, False]
-        assert all(row["n_iter"] < cfg.max_iter for row in res.table)
+        assert all(row["n_iter"] < selection_mod._MAX_ITER for row in res.table)
 
 
 class TestModuleLookups:
@@ -840,7 +831,10 @@ class TestBarFixedPointProperty:
         # coefficient on its +-30 bound is not converged (see the pinned
         # example below for a design without one)
         assume(nu.converged)
-        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selection_mod, "_TOL", 1e-12)
+            mp.setattr(selection_mod, "_MAX_ITER", 300)
+            est = penalized_solve(data, nu, 0.0, PenaltyConfig())
         assert est.converged and est.support.size == data.p
         ev = BetaLikelihood(data, nu.params.nuisance)
         pd = pseudo_data(est.beta_hat, ev.gradient(est.beta_hat),
@@ -848,7 +842,7 @@ class TestBarFixedPointProperty:
         newton = np.linalg.solve(pd.X.T @ pd.X, pd.X.T @ pd.W)
         np.testing.assert_allclose(est.beta_hat, newton, rtol=0, atol=1e-8)
 
-    def test_no_finite_mle_reports_unconverged(self):
+    def test_no_finite_mle_reports_unconverged(self, monkeypatch):
         # one transition-3 event for four covariates: the likelihood has no
         # finite maximizer, so the fit stops at its coefficient bound and the
         # lambda = 0 solve diverges; both must say so rather than pass
@@ -856,5 +850,7 @@ class TestBarFixedPointProperty:
         assert data.arrays()["delta1"] @ data.arrays()["delta2"] == 1.0
         nu = fit_unpenalized(data, FitConfig(baseline="weibull"))
         assert not nu.converged
-        est = penalized_solve(data, nu, 0.0, PenaltyConfig(tol=1e-12, max_iter=300))
+        monkeypatch.setattr(selection_mod, "_TOL", 1e-12)
+        monkeypatch.setattr(selection_mod, "_MAX_ITER", 300)
+        est = penalized_solve(data, nu, 0.0, PenaltyConfig())
         assert not est.converged
