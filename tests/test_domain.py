@@ -37,6 +37,11 @@ class TestValidate:
         for seed in range(5):
             assert validate_dataset(small_dataset(n=30, seed=seed)) == []
 
+    def test_covariate_length_mismatch(self):
+        cols = [np.zeros(2)] * 5
+        with pytest.raises(ValueError, match="one row per record"):
+            Dataset(*cols, np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 2)))
+
     def test_nonfinite_covariate(self):
         bad = SubjectRecord(0.0, 1.0, 0, 1.0, 0, [np.nan, 0.0], np.zeros(2), np.zeros(2))
         assert any("non-finite covariate" in f

@@ -143,6 +143,13 @@ class TestPenaltyDomain:
         with pytest.raises(ValueError):
             penalized_solve(data, nu, lam, PenaltyConfig(**kw))
 
+    def test_loop_cap_and_tolerance_are_fixed(self):
+        # the former defaults, on which every stored answer rests
+        assert (selection_mod._MAX_ITER, selection_mod._TOL) == (100, 1e-6)
+        assert [f.name for f in dataclasses.fields(PenaltyConfig)] == ["kind", "lambda_grid"]
+        with pytest.raises(TypeError):
+            PenaltyConfig(max_iter=5)
+
 
 class TestBarSolve:
     def test_lambda_zero_fixed_point_is_unpenalized_max(self, fitted, monkeypatch):
